@@ -14,12 +14,13 @@ import json
 import sys
 
 from . import census, strata
-from .decograph import ZeroIndexError, canonical_key, strip_gamma
+from .decograph import ZeroIndexError
 from .enumerator import (
     FullDegreeError,
     GammaMode,
     WorkLimitExceeded,
     WorkMeter,
+    _existence_projection,
     enum_nonsep,
     enum_nonsep_naive,
     enum_sep,
@@ -41,7 +42,7 @@ from .topotype import (
 def _cmd_validate(args) -> int:
     t = parse_type(args.type)
     report = exists(t)
-    dim = 2 * (t.g + t.n - 1) if report else None
+    dim = dimension(t) if report else None
     if args.json:
         print(json.dumps({"type": format_type(t), "exists": report.exists,
                           "violated": list(report.violated), "dim": dim}))
@@ -92,25 +93,14 @@ def _cmd_chi_n(args) -> int:
     return _chi_output(t, result, args.json)
 
 
-def _nonsep_graph_census(t, involution: bool, naive: bool):
-    """Both gamma counts from one run, plus per-mode graph lists."""
-    enum = enum_nonsep_naive if naive else enum_nonsep
-    as_data = enum(t, gamma_mode=GammaMode.AS_DATA, involution=involution)
-    groups: dict[bytes, list] = {}
-    for g in as_data:
-        groups.setdefault(canonical_key(strip_gamma(g)), []).append(g)
-    existence = [min(gs, key=canonical_key) for gs in groups.values()]
-    existence.sort(key=canonical_key)
-    return as_data, existence
-
-
 def _cmd_graphs(args) -> int:
     t = parse_type(args.type)
     meter = WorkMeter()
     counts: dict[str, int] = {}
     if t.variant is Variant.NONSEP:
-        as_data, existence = _nonsep_graph_census(t, not args.gamma_any_order,
-                                                  args.naive)
+        enum = enum_nonsep_naive if args.naive else enum_nonsep
+        as_data = enum(t, involution=not args.gamma_any_order)
+        existence = _existence_projection(as_data)
         graphs = existence if args.gamma_existence else as_data
         counts["count"] = len(graphs)
         if len(as_data) != len(existence):

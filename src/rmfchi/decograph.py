@@ -11,7 +11,8 @@ color-swapping symmetry gamma, recorded as a vertex permutation.
 
 The checkers validate a graph against a topological type clause by
 clause, and :func:`canonical_key` gives a complete isomorphism invariant
-used for deduplication.
+used for deduplication.  :func:`find_gammas` reads the symmetries off
+the same canonical search, run on the color-swapped copy of the graph.
 """
 
 from __future__ import annotations
@@ -278,106 +279,32 @@ def find_gammas(g: DecoratedGraph,
                 involution: bool = True) -> list[tuple[int, ...]]:
     """All admissible color-swapping symmetries, sorted.
 
-    With ``involution`` (the default) only order-two symmetries built
-    from one side-swapping bijection are returned; otherwise the two
-    directions are chosen independently.
+    A gamma is an isomorphism from the graph onto its color-swapped
+    copy, so the canonical search reads them off: every order of the
+    copy whose rows equal the graph's minimal rows is the image of one
+    minimal order of the graph.  The resulting permutations are kept
+    when :func:`gamma_violations` finds nothing, so with ``involution``
+    (the default) only order-two symmetries survive.
     """
-    whites = g.ids_of(Color.WHITE)
-    blacks = g.ids_of(Color.BLACK)
-    if len(whites) != len(blacks):
+    incident = _incidence(g)
+
+    def side(color: Color) -> list[tuple]:
+        return sorted(_invariant(g, incident, v) for v in g.ids_of(color))
+
+    if side(Color.WHITE) != side(Color.BLACK):
         return []
-    cells = g.cells()
-    degs = g.degrees()
-
-    def pair_weights(a: int, b: int) -> tuple[int, ...]:
-        return cells.get((a, b) if a < b else (b, a), ())
-
-    def attrs(v: int):
-        vert = g.vertices[v]
-        incident = sorted(w for pair, ws in cells.items() if v in pair
-                          for w in ws)
-        return (vert.weight, vert.root, degs[v], tuple(incident))
-
-    cand = {w: [b for b in blacks if attrs(b) == attrs(w)] for w in whites}
+    _, rows, orders = _search(g)
+    other = {Color.WHITE: Color.BLACK, Color.BLACK: Color.WHITE}
+    swapped = DecoratedGraph(
+        tuple(replace(v, color=other[v.color]) for v in g.vertices), g.edges)
+    _, _, matches = _search(swapped, target=rows)
     results = []
-
-    if involution:
-        sigma: dict[int, int] = {}
-        used: set[int] = set()
-
-        def rec(i: int):
-            if i == len(whites):
-                perm = list(range(len(g.vertices)))
-                for w, b in sigma.items():
-                    perm[w], perm[b] = b, w
-                results.append(tuple(perm))
-                return
-            w = whites[i]
-            for b in cand[w]:
-                if b in used:
-                    continue
-                ok = all(pair_weights(w, b2) == pair_weights(w2, b)
-                         for w2, b2 in sigma.items())
-                if ok and not _parity_ok(pair_weights(w, b), True):
-                    ok = False
-                if ok:
-                    sigma[w] = b
-                    used.add(b)
-                    rec(i + 1)
-                    del sigma[w]
-                    used.discard(b)
-
-        rec(0)
-    else:
-        cand_tau = {b: [w for w in whites if attrs(w) == attrs(b)]
-                    for b in blacks}
-        sigma: dict[int, int] = {}
-        used_b: set[int] = set()
-
-        def rec_tau(j: int, tau: dict[int, int], used_w: set[int]):
-            if j == len(blacks):
-                perm = list(range(len(g.vertices)))
-                for w in whites:
-                    perm[w] = sigma[w]
-                for b in blacks:
-                    perm[b] = tau[b]
-                results.append(tuple(perm))
-                return
-            b = blacks[j]
-            for w2 in cand_tau[b]:
-                if w2 in used_w:
-                    continue
-                ok = True
-                for w in whites:
-                    if pair_weights(w, b) != pair_weights(w2, sigma[w]):
-                        ok = False
-                        break
-                    if sigma[w] == b and w2 == w:
-                        if not _parity_ok(pair_weights(w, b), False):
-                            ok = False
-                            break
-                if ok:
-                    tau[b] = w2
-                    rec_tau(j + 1, tau, used_w | {w2})
-                    del tau[b]
-
-        def rec_sigma(i: int):
-            if i == len(whites):
-                rec_tau(0, {}, set())
-                return
-            w = whites[i]
-            for b in cand[w]:
-                if b in used_b:
-                    continue
-                sigma[w] = b
-                used_b.add(b)
-                rec_sigma(i + 1)
-                del sigma[w]
-                used_b.discard(b)
-
-        rec_sigma(0)
-
-    assert all(not gamma_violations(g, perm, involution) for perm in results)
+    for match in matches:
+        perm = [0] * len(g.vertices)
+        for v, image in zip(orders[0], match):
+            perm[v] = image
+        if not gamma_violations(g, perm, involution):
+            results.append(tuple(perm))
     return sorted(results)
 
 
@@ -408,29 +335,25 @@ def _root_edge_weight(g: DecoratedGraph, v: int) -> int:
     raise AssertionError("degree-1 vertex with no edge")
 
 
-_EXISTING_CACHE: set[TopType] = set()
+def _require_graph_model(t: TopType):
+    """Raise unless the type exists and has no zero index.
 
-
-def _require_exists_cached(t: TopType):
-    # The checkers run once per enumeration candidate; skip re-deriving
-    # the existence report for a type already seen.
-    if t not in _EXISTING_CACHE:
-        require_exists(t)
-        _EXISTING_CACHE.add(t)
+    The graph model says nothing about zero indices.
+    """
+    require_exists(t)
+    if any(i == 0 for i in t.indices):
+        raise ZeroIndexError(f"graph model undefined for {t.indices}")
 
 
 def check_nonsep(g: DecoratedGraph, t: TopType,
                  involution: bool = True) -> ViolationList:
     """Validate a graph against a non-separating type, clause by clause.
 
-    Requires an existing type with every index at least 1 (the graph
-    model says nothing about zero indices).
+    Requires an existing type with every index at least 1.
     """
     if t.variant is not Variant.NONSEP:
         raise ValueError("check_nonsep needs a non-separating type")
-    _require_exists_cached(t)
-    if any(i == 0 for i in t.indices):
-        raise ZeroIndexError(f"graph model undefined for {t.indices}")
+    _require_graph_model(t)
 
     degs = g.degrees()
     out = []
@@ -485,9 +408,7 @@ def check_sep(g: DecoratedGraph, t: TopType) -> ViolationList:
     """
     if t.variant is not Variant.SEP:
         raise ValueError("check_sep needs a separating type")
-    _require_exists_cached(t)
-    if any(i == 0 for i in t.indices):
-        raise ZeroIndexError(f"graph model undefined for {t.indices}")
+    _require_graph_model(t)
 
     degs = g.degrees()
     out = []
@@ -541,6 +462,26 @@ def check_sep(g: DecoratedGraph, t: TopType) -> ViolationList:
 # canonical form
 
 
+def _incidence(g: DecoratedGraph) -> list[list[tuple[int, int]]]:
+    """Per vertex, (neighbor, edge weight) for every incident edge."""
+    incident: list[list[tuple[int, int]]] = [[] for _ in g.vertices]
+    for e in g.edges:
+        incident[e.u].append((e.v, e.weight))
+        incident[e.v].append((e.u, e.weight))
+    return incident
+
+
+def _invariant(g: DecoratedGraph, incident, v: int) -> tuple:
+    """Root flag, genus, degree and sorted incident edge weights of v.
+
+    This is the refinement's initial key without the color, so vertexes
+    of the two colors can be compared.
+    """
+    vert = g.vertices[v]
+    return (int(vert.root), vert.weight, len(incident[v]),
+            tuple(sorted(w for _, w in incident[v])))
+
+
 def _refined_classes(g: DecoratedGraph):
     """Partition vertexes into ordered classes by iterated refinement.
 
@@ -549,20 +490,9 @@ def _refined_classes(g: DecoratedGraph):
     where class_keys[i] is the shared attribute key of classes[i].
     """
     n = len(g.vertices)
-    cells = g.cells()
-    incident: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    for (u, v), weights in cells.items():
-        for w in weights:
-            incident[u].append((v, w))
-            incident[v].append((u, w))
-
-    def initial(v: int):
-        vert = g.vertices[v]
-        ws = tuple(sorted(w for _, w in incident[v]))
-        return (vert.color.value, int(vert.root), vert.weight,
-                len(incident[v]), ws)
-
-    init = [initial(v) for v in range(n)]
+    incident = _incidence(g)
+    init = [(g.vertices[v].color.value,) + _invariant(g, incident, v)
+            for v in range(n)]
     order = sorted(set(init))
     rank = [order.index(key) for key in init]
     while True:
@@ -582,13 +512,14 @@ def _refined_classes(g: DecoratedGraph):
     return ordered, keys
 
 
-def canonical_key(g: DecoratedGraph) -> bytes:
-    """Complete isomorphism invariant of a decorated graph.
+def _search(g: DecoratedGraph, target: list[tuple] | None = None):
+    """The backtracking search over the vertex orders the refinement admits.
 
-    Equal keys exactly characterize isomorphism: a color-, weight-,
-    root- and gamma-preserving relabeling (gamma conjugates).  The key
-    is the minimal serialized encoding over all admissible vertex
-    orders, with gamma folded in as a tie-break after the adjacency.
+    An order lists the refined classes one after another.  Its rows are,
+    per position, the edge weights to every earlier position.  Returns
+    (header, rows, orders): the class header, the minimal rows and every
+    order that achieves them.  With ``target``, only the orders whose
+    rows equal ``target`` are kept, and ``target`` is returned as rows.
     """
     classes, class_keys = _refined_classes(g)
     header = tuple((key, len(cls)) for key, cls in zip(class_keys, classes))
@@ -600,28 +531,22 @@ def canonical_key(g: DecoratedGraph) -> bytes:
     slots = [list(cls) for cls in classes]
     order: list[int] = []
     rows: list[tuple] = []
-    best: list[tuple] | None = None
-    best_orders: list[tuple[int, ...]] = []
+    best = target
+    orders: list[tuple[int, ...]] = []
 
     def rec(ci: int):
-        nonlocal best, best_orders
-        if ci == len(slots) or not slots[ci]:
-            if ci == len(slots):
-                if best is None or rows < best:
-                    best = list(rows)
-                    best_orders = [tuple(order)]
-                elif rows == best:
-                    best_orders.append(tuple(order))
-                return
-            rec(ci + 1)
+        nonlocal best, orders
+        if ci == len(slots):
+            if best is None or rows < best:
+                best, orders = list(rows), []
+            orders.append(tuple(order))
             return
-        remaining = list(slots[ci])
-        for v in remaining:
+        for v in list(slots[ci]):
             row = tuple(pair_weights(v, u) for u in order)
             if best is not None:
-                p = len(order)
-                prefix = rows + [row]
-                if prefix > best[: p + 1]:
+                prefix, bound = rows + [row], best[: len(rows) + 1]
+                if prefix > bound or (target is not None
+                                      and prefix != bound):
                     continue
             slots[ci].remove(v)
             order.append(v)
@@ -632,18 +557,27 @@ def canonical_key(g: DecoratedGraph) -> bytes:
             slots[ci].append(v)
             slots[ci].sort()
 
-    if not g.vertices:
-        return repr((header, (), None)).encode()
     rec(0)
+    return header, best, orders
 
+
+def canonical_key(g: DecoratedGraph) -> bytes:
+    """Complete isomorphism invariant of a decorated graph.
+
+    Equal keys exactly characterize isomorphism: a color-, weight-,
+    root- and gamma-preserving relabeling (gamma conjugates).  The key
+    is the minimal serialized encoding over all admissible vertex
+    orders, with gamma folded in as a tie-break after the adjacency.
+    """
+    header, rows, orders = _search(g)
     gamma_part = None
-    if g.gamma is not None:
+    if g.gamma:  # the empty graph's gamma () encodes as None
         images = []
-        for cand in best_orders:
+        for cand in orders:
             pos = {v: i for i, v in enumerate(cand)}
             images.append(tuple(pos[g.gamma[v]] for v in cand))
         gamma_part = min(images)
-    return repr((header, tuple(best), gamma_part)).encode()
+    return repr((header, tuple(rows), gamma_part)).encode()
 
 
 def are_isomorphic(a: DecoratedGraph, b: DecoratedGraph) -> bool:

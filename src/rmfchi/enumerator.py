@@ -1,12 +1,16 @@
 """Exact enumeration of decorated graphs for a topological type.
 
-Two independent paths compute the same census.  The fast path builds
-bipartite multigraph shapes in a canonical form (maximal matrix under
-row and column permutations), decorates them, and deduplicates with
-:func:`rmfchi.decograph.canonical_key`.  The naive path generates every
+Two paths compute the same census.  The fast path builds bipartite
+multigraph shapes in a canonical form (maximal matrix under row and
+column permutations), decorates them, and deduplicates with
+:func:`rmfchi.decograph.canonical_key`; one loop serves both variants,
+and non-separating graphs then get their symmetries from
+:func:`rmfchi.decograph.find_gammas`.  The naive path generates every
 labeled candidate inside the same bounds, keeps those the checkers
 accept, and buckets them by brute-force isomorphism; it exists so the
 fast path can be cross-validated and should only be used on small types.
+It has its own candidate loop, but shares the bounds and the low-level
+generators with the fast path.
 
 Both paths charge every generated object against a work meter so
 runaway inputs fail fast instead of hanging.
@@ -24,14 +28,14 @@ from .decograph import (
     DecoratedGraph,
     Edge,
     Vertex,
-    ZeroIndexError,
+    _require_graph_model,
     canonical_key,
     check_nonsep,
     check_sep,
     find_gammas,
     strip_gamma,
 )
-from .topotype import TopType, Variant, require_exists
+from .topotype import TopType, Variant, format_type
 
 DEFAULT_WORK_LIMIT = 100_000_000
 WORK_LIMIT_ENV = "RMF_WORK_LIMIT"
@@ -50,7 +54,12 @@ class WorkMeter:
 
     def __init__(self, limit: int | None = None):
         if limit is None:
-            limit = int(os.environ.get(WORK_LIMIT_ENV, DEFAULT_WORK_LIMIT))
+            text = os.environ.get(WORK_LIMIT_ENV, str(DEFAULT_WORK_LIMIT))
+            try:
+                limit = int(text)
+            except ValueError:
+                raise ValueError(f"{WORK_LIMIT_ENV} must be an integer, "
+                                 f"got {text!r}") from None
         if limit < 1:
             raise ValueError("work limit must be >= 1")
         self.limit = limit
@@ -103,9 +112,7 @@ class EnumerationBounds:
 
 def bounds_for(t: TopType) -> EnumerationBounds:
     """Search bounds for an existing type with a graph model."""
-    require_exists(t)
-    if any(i == 0 for i in t.indices):
-        raise ZeroIndexError(f"graph model undefined for {t.indices}")
+    _require_graph_model(t)
     if t.variant is Variant.NONSEP:
         roots = tuple(sorted(t.indices))
         return EnumerationBounds(
@@ -337,6 +344,61 @@ def _splits(total_vertices: int, bounds: EnumerationBounds, min_w: int,
 # fast path
 
 
+def _plain_classes(bounds: EnumerationBounds, meter: WorkMeter):
+    """(canonical key, gamma-less graph), once per isomorphism class."""
+    seen: set[bytes] = set()
+    for n_edges in range(1, bounds.max_edges + 1):
+        for cycle_rank in range(0, bounds.genus_budget + 1):
+            total_v = n_edges + 1 - cycle_rank
+            if total_v < 2:
+                continue
+            for n_w, n_b in _splits(total_v, bounds,
+                                    len(bounds.white_root_weights),
+                                    len(bounds.black_root_weights)):
+                for mat in _shapes(n_w, n_b, n_edges, meter):
+                    for plain in _decorations(mat, n_w, n_b, bounds,
+                                              cycle_rank, meter):
+                        key = canonical_key(plain)
+                        if key not in seen:
+                            seen.add(key)
+                            yield key, plain
+
+
+def _checked(t: TopType, graphs: list[DecoratedGraph],
+             involution: bool = True) -> list[DecoratedGraph]:
+    """The census output, once every graph has passed its checker."""
+    for g in graphs:
+        report = (check_nonsep(g, t, involution)
+                  if t.variant is Variant.NONSEP else check_sep(g, t))
+        if not report.ok:
+            raise RuntimeError(
+                f"census of {format_type(t)} produced a graph violating "
+                + ", ".join(report.clauses))
+    return graphs
+
+
+def _existence_projection(as_data: list[DecoratedGraph]
+                          ) -> list[DecoratedGraph]:
+    """Per underlying graph, the as-data graph with the smallest key.
+
+    The result is sorted by canonical key, as every census is.
+    """
+    chosen: dict[bytes, DecoratedGraph] = {}
+    for g in sorted(as_data, key=canonical_key):
+        chosen.setdefault(canonical_key(strip_gamma(g)), g)
+    return list(chosen.values())
+
+
+def _sep_bounds(t: TopType, allow_full_degree: bool) -> EnumerationBounds:
+    """Bounds for a separating census; full degree only when asked."""
+    bounds = bounds_for(t)
+    if sum(abs(i) for i in t.indices) == t.n and not allow_full_degree:
+        raise FullDegreeError(
+            "full-degree separating types are a closed form; "
+            "pass allow_full_degree=True to enumerate anyway")
+    return bounds
+
+
 def enum_nonsep(t: TopType, *, gamma_mode: GammaMode = GammaMode.AS_DATA,
                 involution: bool = True,
                 meter: WorkMeter | None = None) -> list[DecoratedGraph]:
@@ -351,41 +413,15 @@ def enum_nonsep(t: TopType, *, gamma_mode: GammaMode = GammaMode.AS_DATA,
         raise ValueError("enum_nonsep needs a non-separating type")
     meter = meter or WorkMeter()
     bounds = bounds_for(t)
-    k = t.k
     found: dict[bytes, DecoratedGraph] = {}
-    seen_plain: set[bytes] = set()
-    for n_edges in range(1, bounds.max_edges + 1):
-        for cycle_rank in range(0, bounds.genus_budget + 1):
-            total_v = n_edges + 1 - cycle_rank
-            if total_v < 2:
-                continue
-            for n_w, n_b in _splits(total_v, bounds, k, k):
-                for mat in _shapes(n_w, n_b, n_edges, meter):
-                    for plain in _decorations(mat, n_w, n_b, bounds,
-                                              cycle_rank, meter):
-                        key = canonical_key(plain)
-                        if key in seen_plain:
-                            continue
-                        seen_plain.add(key)
-                        gammas = find_gammas(plain, involution)
-                        if not gammas:
-                            continue
-                        keyed = []
-                        for gam in gammas:
-                            g = replace(plain, gamma=gam)
-                            keyed.append((canonical_key(g), g))
-                        keyed.sort(key=lambda kg: kg[0])
-                        if gamma_mode is GammaMode.EXISTENCE:
-                            assert check_nonsep(keyed[0][1], t,
-                                                involution).ok
-                            found[key] = keyed[0][1]
-                        else:
-                            for gkey, g in keyed:
-                                if gkey not in found:
-                                    assert check_nonsep(g, t,
-                                                        involution).ok
-                                    found[gkey] = g
-    return [g for _, g in sorted(found.items())]
+    for _, plain in _plain_classes(bounds, meter):
+        for gam in find_gammas(plain, involution):
+            g = replace(plain, gamma=gam)
+            found.setdefault(canonical_key(g), g)
+    graphs = [g for _, g in sorted(found.items())]
+    if gamma_mode is GammaMode.EXISTENCE:
+        graphs = _existence_projection(graphs)
+    return _checked(t, graphs, involution)
 
 
 def enum_sep(t: TopType, *, allow_full_degree: bool = False,
@@ -397,33 +433,10 @@ def enum_sep(t: TopType, *, allow_full_degree: bool = False,
     """
     if t.variant is not Variant.SEP:
         raise ValueError("enum_sep needs a separating type")
-    require_exists(t)
-    total_abs = sum(abs(i) for i in t.indices)
-    if any(i == 0 for i in t.indices):
-        raise ZeroIndexError(f"graph model undefined for {t.indices}")
-    if total_abs == t.n and not allow_full_degree:
-        raise FullDegreeError(
-            "full-degree separating types are a closed form; "
-            "pass allow_full_degree=True to enumerate anyway")
+    bounds = _sep_bounds(t, allow_full_degree)
     meter = meter or WorkMeter()
-    bounds = bounds_for(t)
-    n_neg = sum(1 for i in t.indices if i < 0)
-    n_pos = t.k - n_neg
-    found: dict[bytes, DecoratedGraph] = {}
-    for n_edges in range(1, bounds.max_edges + 1):
-        for cycle_rank in range(0, bounds.genus_budget + 1):
-            total_v = n_edges + 1 - cycle_rank
-            if total_v < 2:
-                continue
-            for n_w, n_b in _splits(total_v, bounds, n_neg, n_pos):
-                for mat in _shapes(n_w, n_b, n_edges, meter):
-                    for plain in _decorations(mat, n_w, n_b, bounds,
-                                              cycle_rank, meter):
-                        key = canonical_key(plain)
-                        if key not in found:
-                            assert check_sep(plain, t).ok
-                            found[key] = plain
-    return [g for _, g in sorted(found.items())]
+    found = dict(_plain_classes(bounds, meter))
+    return _checked(t, [g for _, g in sorted(found.items())])
 
 
 # ---------------------------------------------------------------------------
@@ -586,15 +599,8 @@ def enum_sep_naive(t: TopType, *, allow_full_degree: bool = False,
     """Brute-force census of separating graphs; small types only."""
     if t.variant is not Variant.SEP:
         raise ValueError("enum_sep_naive needs a separating type")
-    require_exists(t)
-    if any(i == 0 for i in t.indices):
-        raise ZeroIndexError(f"graph model undefined for {t.indices}")
-    if sum(abs(i) for i in t.indices) == t.n and not allow_full_degree:
-        raise FullDegreeError(
-            "full-degree separating types are a closed form; "
-            "pass allow_full_degree=True to enumerate anyway")
+    bounds = _sep_bounds(t, allow_full_degree)
     meter = meter or WorkMeter()
-    bounds = bounds_for(t)
     n_neg = len(bounds.white_root_weights)
     n_pos = len(bounds.black_root_weights)
 

@@ -300,11 +300,15 @@ def parse_type(text: str) -> TopType:
     def read_uint() -> int:
         nonlocal pos
         start = pos
-        while pos < len(text) and text[pos].isdigit():
+        while pos < len(text) and "0" <= text[pos] <= "9":
             pos += 1
         if pos == start:
             fail("expected a digit")
-        return int(text[start:pos])
+        try:
+            return int(text[start:pos])
+        except ValueError:  # more digits than int() converts
+            pos = start
+            fail("number too long")
 
     def expect(ch: str):
         nonlocal pos

@@ -12,6 +12,7 @@ from rmfchi.decograph import DecoratedGraph, check_nonsep
 from rmfchi.topotype import nonsep
 
 GOLDEN = pathlib.Path(__file__).parent / "golden" / "catalog_g1_n3_i2.jsonl"
+GRAPHS_GOLDEN = pathlib.Path(__file__).parent / "golden" / "graphs.jsonl"
 
 
 def test_validate(capsys):
@@ -103,6 +104,18 @@ def test_graphs_flags(capsys):
     assert json.loads(capsys.readouterr().out)["count"] == 2
 
 
+def test_graphs_match_golden(capsys):
+    # output order and the gamma standing for each class, line by line
+    runs = [[flag, t] for t in ("1,4,0|", "2,5,0|1", "3,7,0|1")
+            for flag in (None, "--gamma-existence", "--gamma-any-order")]
+    runs.append([None, "3,6,1|-1,1"])
+    out = []
+    for args in runs:
+        assert main(["graphs"] + [a for a in args if a]) == 0
+        out.append(capsys.readouterr().out)
+    assert "".join(out) == GRAPHS_GOLDEN.read_text()
+
+
 def test_graphs_dot(capsys):
     assert main(["graphs", "--format", "dot", "0,4,0|"]) == 0
     out = capsys.readouterr().out
@@ -177,6 +190,13 @@ def test_exit_codes(capsys, monkeypatch):
     monkeypatch.setenv("RMF_WORK_LIMIT", "10")
     assert main(["chi-n", "2,5,0|1"]) == 3
     assert "work limit 10 exceeded" in capsys.readouterr().err
+
+
+def test_bad_work_limit_names_the_variable(capsys, monkeypatch):
+    monkeypatch.setenv("RMF_WORK_LIMIT", "lots")
+    assert main(["chi-n", "2,5,0|1"]) == 1
+    err = capsys.readouterr().err
+    assert "RMF_WORK_LIMIT" in err and "'lots'" in err
 
 
 def test_module_entry_point():

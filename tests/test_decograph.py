@@ -190,11 +190,18 @@ def test_canonical_key_is_relabeling_invariant():
     for g in (_nonsep_path(), _sep_path(), _heavy_edge(),
               _symmetric_path()):
         key = canonical_key(g)
+        gammas = {inv: find_gammas(g, inv) for inv in (True, False)}
         n = len(g.vertices)
         for _ in range(50):
             perm = list(range(n))
             rng.shuffle(perm)
-            assert canonical_key(relabel(g, tuple(perm))) == key
+            h = relabel(g, tuple(perm))
+            assert canonical_key(h) == key
+            # the symmetries of the relabeled graph are the conjugates
+            for inv, found in gammas.items():
+                conjugated = [tuple(perm[gam[perm.index(v)]]
+                                    for v in range(n)) for gam in found]
+                assert find_gammas(h, inv) == sorted(conjugated)
 
 
 def test_canonical_key_separates_fixtures():

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import subprocess
+import sys
+
 import pytest
 
 from rmfchi.decograph import (
@@ -147,3 +150,30 @@ def test_naive_agrees_on_sep():
 def test_naive_agrees_on_larger_sep():
     t = sep(3, 6, (1, -1))
     _same_census(enum_sep(t), enum_sep_naive(t))
+
+
+def test_output_check_survives_optimize():
+    # A checker that rejects everything must stop both censuses, also
+    # when python -O strips assert statements.
+    code = """
+from rmfchi import enumerator
+from rmfchi.decograph import Violation, ViolationList
+from rmfchi.topotype import nonsep, sep
+assert False, "assert statements must be stripped here"
+bad = ViolationList((Violation("planted", "rejects everything"),))
+enumerator.check_nonsep = lambda g, t, involution=True: bad
+enumerator.check_sep = lambda g, t: bad
+for run in (lambda: enumerator.enum_nonsep(nonsep(1, 3, (1,))),
+            lambda: enumerator.enum_sep(sep(1, 5, (1, 2)))):
+    try:
+        run()
+    except RuntimeError as exc:
+        print(exc)
+"""
+    proc = subprocess.run([sys.executable, "-O", "-c", code],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "census of 1,3,0|1 produced a graph violating planted",
+        "census of 1,5,1|1,2 produced a graph violating planted",
+    ]

@@ -186,6 +186,14 @@ def test_parse_syntax_error_positions():
     with pytest.raises(TypeSyntaxError) as err:
         parse_type("1,3,0|1x")
     assert err.value.position == 7
+    # digits outside ASCII are not digits of the format
+    for text in ("1,3,0|\u00b2", "1,3,0|\u0661"):
+        with pytest.raises(TypeSyntaxError) as err:
+            parse_type(text)
+        assert err.value.position == 6
+    with pytest.raises(TypeSyntaxError) as err:
+        parse_type("1,3,0|" + "1" * 5000)
+    assert err.value.position == 6
 
 
 def test_parse_rejects_signs_and_xi_for_nonsep():
