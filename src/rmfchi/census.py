@@ -12,8 +12,10 @@ from __future__ import annotations
 
 import csv
 import json
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 from itertools import combinations_with_replacement
 
 from .enumerator import WorkLimitExceeded, WorkMeter
@@ -26,7 +28,6 @@ from .topotype import (
     exists,
     format_type,
     nonsep,
-    parse_type,
     sep,
     sepext,
 )
@@ -140,35 +141,20 @@ def record_for(t: TopType, *, work_limit: int | None = None) -> CensusRecord:
         return CensusRecord(t, dim, chi_h, None, None, None, str(exc))
 
 
-def _record_json_for_text(args) -> dict:
-    text, work_limit = args
-    return record_for(parse_type(text), work_limit=work_limit).to_json_dict()
-
-
 def sweep(bounds: SweepBounds, *, workers: int = 1,
           work_limit: int | None = None) -> list[CensusRecord]:
     """Census of the box, in sort order, one record per existing type."""
     types = iter_types(bounds)
+    # The pool starts all its processes at once, so it gets no more of
+    # them than there are types or CPUs.
+    workers = min(workers, len(types), os.cpu_count() or 1)
     if workers <= 1:
         return [record_for(t, work_limit=work_limit) for t in types]
-    # Workers receive the text form: records come back in order, so the
-    # output is identical to the sequential one.
-    jobs = [(format_type(t), work_limit) for t in types]
+    # Records come back in order, so the output is identical to the
+    # sequential one.
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        dicts = list(pool.map(_record_json_for_text, jobs))
-    return [_record_from_json(d) for d in dicts]
-
-
-def _record_from_json(data: dict) -> CensusRecord:
-    return CensusRecord(
-        type=parse_type(data["type"]),
-        dim=data["dim"],
-        chi_h=data["chi_h"],
-        chi_n=data["chi_n"],
-        graph_count=data["graph_count"],
-        route=data["route"],
-        error=data["error"],
-    )
+        return list(pool.map(partial(record_for, work_limit=work_limit),
+                             types))
 
 
 def write_jsonl(records, stream) -> int:

@@ -5,12 +5,13 @@ multigraph shapes in a canonical form (maximal matrix under row and
 column permutations), decorates them, and deduplicates with
 :func:`rmfchi.decograph.canonical_key`; one loop serves both variants,
 and non-separating graphs then get their symmetries from
-:func:`rmfchi.decograph.find_gammas`.  The naive path generates every
-labeled candidate inside the same bounds, keeps those the checkers
-accept, and buckets them by brute-force isomorphism; it exists so the
-fast path can be cross-validated and should only be used on small types.
-It has its own candidate loop, but shares the bounds and the low-level
-generators with the fast path.
+:func:`rmfchi.decograph.find_gammas`.  The naive path works from the
+definitions: it lists labeled cores, hangs the roots off them in every
+way, tries every color-swapping bijection as gamma, keeps what the
+checkers accept, and buckets the survivors by exhausting relabelings.
+It exists so the fast path can be cross-validated and should only be
+used on small types.  The two paths share only the graph data classes,
+``relabel``/``strip_gamma``, the checkers and the input guards.
 
 Both paths charge every generated object against a work meter so
 runaway inputs fail fast instead of hanging.
@@ -21,7 +22,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, replace
 from enum import Enum
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 
 from .decograph import (
     Color,
@@ -33,6 +34,7 @@ from .decograph import (
     check_nonsep,
     check_sep,
     find_gammas,
+    relabel,
     strip_gamma,
 )
 from .topotype import TopType, Variant, format_type
@@ -135,7 +137,7 @@ def bounds_for(t: TopType) -> EnumerationBounds:
 
 
 # ---------------------------------------------------------------------------
-# shared generators
+# fast path: shapes and decorations
 
 
 def _compositions(total: int, slots: int):
@@ -212,25 +214,6 @@ def _shapes(n_w: int, n_b: int, total: int, meter: WorkMeter):
                 yield from rows_from(i + 1, remaining - s, row, acc + [row])
 
     yield from rows_from(0, total, None, [])
-
-
-def _all_matrices(n_w: int, n_b: int, total: int, meter: WorkMeter):
-    """Every multiplicity matrix with no empty row or column."""
-
-    def rows_from(i: int, remaining: int, acc):
-        if i == n_w:
-            if remaining == 0:
-                mat = tuple(acc)
-                meter.tick()
-                if all(any(row[j] for row in mat) for j in range(n_b)):
-                    yield mat
-            return
-        left_after = n_w - i - 1
-        for s in range(1, remaining - left_after + 1):
-            for row in _compositions(s, n_b):
-                yield from rows_from(i + 1, remaining - s, acc + [row])
-
-    yield from rows_from(0, total, [])
 
 
 def _cells_of(mat):
@@ -326,8 +309,10 @@ def _decorations(mat, n_w, n_b, bounds: EnumerationBounds, cycle_rank: int,
                                     set(white_roots), set(black_roots), vw)
 
 
-def _splits(total_vertices: int, bounds: EnumerationBounds, min_w: int,
-            min_b: int):
+def _splits(total_vertices: int, bounds: EnumerationBounds):
+    """(white, black) vertex counts with room for the roots of each color."""
+    min_w = len(bounds.white_root_weights)
+    min_b = len(bounds.black_root_weights)
     if bounds.balanced:
         if total_vertices % 2 == 0:
             half = total_vertices // 2
@@ -341,7 +326,7 @@ def _splits(total_vertices: int, bounds: EnumerationBounds, min_w: int,
 
 
 # ---------------------------------------------------------------------------
-# fast path
+# fast path: the census loop
 
 
 def _plain_classes(bounds: EnumerationBounds, meter: WorkMeter):
@@ -352,9 +337,7 @@ def _plain_classes(bounds: EnumerationBounds, meter: WorkMeter):
             total_v = n_edges + 1 - cycle_rank
             if total_v < 2:
                 continue
-            for n_w, n_b in _splits(total_v, bounds,
-                                    len(bounds.white_root_weights),
-                                    len(bounds.black_root_weights)):
+            for n_w, n_b in _splits(total_v, bounds):
                 for mat in _shapes(n_w, n_b, n_edges, meter):
                     for plain in _decorations(mat, n_w, n_b, bounds,
                                               cycle_rank, meter):
@@ -389,14 +372,17 @@ def _existence_projection(as_data: list[DecoratedGraph]
     return list(chosen.values())
 
 
-def _sep_bounds(t: TopType, allow_full_degree: bool) -> EnumerationBounds:
-    """Bounds for a separating census; full degree only when asked."""
-    bounds = bounds_for(t)
+def _require_sep_census(t: TopType, allow_full_degree: bool):
+    """Raise unless a separating census of the type may run.
+
+    The type needs a graph model; a full-degree type has a closed form
+    and is enumerated only when the caller asks for it.
+    """
+    _require_graph_model(t)
     if sum(abs(i) for i in t.indices) == t.n and not allow_full_degree:
         raise FullDegreeError(
             "full-degree separating types are a closed form; "
             "pass allow_full_degree=True to enumerate anyway")
-    return bounds
 
 
 def enum_nonsep(t: TopType, *, gamma_mode: GammaMode = GammaMode.AS_DATA,
@@ -433,118 +419,124 @@ def enum_sep(t: TopType, *, allow_full_degree: bool = False,
     """
     if t.variant is not Variant.SEP:
         raise ValueError("enum_sep needs a separating type")
-    bounds = _sep_bounds(t, allow_full_degree)
+    _require_sep_census(t, allow_full_degree)
     meter = meter or WorkMeter()
-    found = dict(_plain_classes(bounds, meter))
+    found = dict(_plain_classes(bounds_for(t), meter))
     return _checked(t, [g for _, g in sorted(found.items())])
 
 
 # ---------------------------------------------------------------------------
-# naive oracle
+# naive oracle: built from the definitions alone
 
 
-def _brute_equivalent(a: DecoratedGraph, b: DecoratedGraph,
-                      use_gamma: bool) -> bool:
-    """Isomorphism by exhausting color-preserving vertex bijections."""
-    if len(a.vertices) != len(b.vertices) or len(a.edges) != len(b.edges):
-        return False
-    wa = a.ids_of(Color.WHITE)
-    wb = b.ids_of(Color.WHITE)
-    ba = a.ids_of(Color.BLACK)
-    bb = b.ids_of(Color.BLACK)
-    if len(wa) != len(wb):
-        return False
-    cells_a = a.cells()
-    cells_b = b.cells()
+def _root_budgets(t: TopType):
+    """Root weights by color, then the core's edge weight sum and genus.
 
-    def attrs(g, v):
-        return (g.vertices[v].weight, g.vertices[v].root)
+    A root is a genus-0, degree-1 vertex whose edge weight is its
+    index, so the roots take their share of the degree equation; the
+    rest of the graph (the core) carries the remaining edge weight, and
+    its cycle rank plus vertex genus is what the genus equation leaves.
+    The separating halvings are exact for every existing type.
+    """
+    if t.variant is Variant.NONSEP:
+        roots = tuple(sorted(t.indices))
+        return roots, roots, t.n - sum(t.indices), t.g - t.k
+    abs_sum = sum(abs(i) for i in t.indices)
+    return (tuple(sorted(-i for i in t.indices if i < 0)),
+            tuple(sorted(i for i in t.indices if i > 0)),
+            (t.n + abs_sum) // 2 - abs_sum, (t.g - t.k + 1) // 2)
 
-    for wp in permutations(wb):
-        if any(attrs(a, x) != attrs(b, y) for x, y in zip(wa, wp)):
-            continue
-        for bp in permutations(bb):
-            if any(attrs(a, x) != attrs(b, y) for x, y in zip(ba, bp)):
-                continue
-            image = {}
-            for x, y in zip(wa, wp):
-                image[x] = y
-            for x, y in zip(ba, bp):
-                image[x] = y
-            ok = True
-            for (u, v), ws in cells_a.items():
-                iu, iv = image[u], image[v]
-                pair = (iu, iv) if iu < iv else (iv, iu)
-                if cells_b.get(pair, ()) != ws:
-                    ok = False
-                    break
-            if ok and len(cells_a) != len(cells_b):
-                ok = False
-            if ok and use_gamma:
-                for v in range(len(a.vertices)):
-                    if image[a.gamma[v]] != b.gamma[image[v]]:
-                        ok = False
-                        break
-            if ok:
-                return True
-    return False
+
+def _edge_multisets(slots, total: int, start: int = 0):
+    """Sorted tuples of slots, repeats allowed, whose weights sum up."""
+    if total == 0:
+        yield ()
+        return
+    for idx in range(start, len(slots)):
+        if slots[idx][2] <= total:
+            for rest in _edge_multisets(slots, total - slots[idx][2], idx):
+                yield (slots[idx],) + rest
+
+
+def _spreads(total: int, slots: int):
+    """Tuples of ``slots`` integers >= 0 summing to ``total``."""
+    for cuts in combinations(range(total + slots - 1), slots - 1):
+        ends = (-1,) + cuts + (total + slots - 1,)
+        yield tuple(b - a - 1 for a, b in zip(ends, ends[1:]))
+
+
+def _naive_plain_graphs(t: TopType, checker, meter: WorkMeter):
+    """Labeled gamma-less graphs of the type that the checker accepts.
+
+    Two roots are never adjacent (that edge would be the whole graph,
+    forcing n = 0), so every graph is a connected core of non-root
+    vertexes with each root hung off a core vertex of the other color.
+    Cores are labeled: white vertexes first, edges as sorted multisets.
+    """
+    white_roots, black_roots, weight_sum, genus = _root_budgets(t)
+    roots = ([(Color.WHITE, w) for w in white_roots]
+             + [(Color.BLACK, w) for w in black_roots])
+    root_vertices = tuple(Vertex(color, 0, True) for color, _ in roots)
+    for n_core in range(1, weight_sum + 2):
+        for n_w in range(n_core + 1):
+            colors = [Color.WHITE] * n_w + [Color.BLACK] * (n_core - n_w)
+            whites = range(n_w)
+            blacks = range(n_w, n_core)
+            slots = [(u, v, w) for u in whites for v in blacks
+                     for w in range(1, weight_sum + 1)]
+            hosts_of = [blacks if color is Color.WHITE else whites
+                        for color, _ in roots]
+            for core in _edge_multisets(slots, weight_sum):
+                meter.tick()
+                edges = tuple(Edge(u, v, w) for u, v, w in core)
+                cycle_rank = len(edges) - n_core + 1
+                if not (0 <= cycle_rank <= genus and DecoratedGraph(
+                        tuple(map(Vertex, colors)), edges).is_connected()):
+                    continue
+                for genera in _spreads(genus - cycle_rank, n_core):
+                    vertices = tuple(map(Vertex, colors, genera))
+                    for hosts in product(*hosts_of):
+                        meter.tick()
+                        root_edges = tuple(
+                            Edge(n_core + r, host, w)
+                            for r, (host, (_, w)) in enumerate(zip(hosts,
+                                                                   roots)))
+                        g = DecoratedGraph(vertices + root_vertices,
+                                           edges + root_edges)
+                        if checker(g):
+                            yield g
+
+
+def _relabelings(g: DecoratedGraph):
+    """g under every color-preserving bijection of its vertexes."""
+    whites = g.ids_of(Color.WHITE)
+    blacks = g.ids_of(Color.BLACK)
+    for wp in permutations(whites):
+        for bp in permutations(blacks):
+            perm = [0] * len(g.vertices)
+            for old, new in zip(whites + blacks, wp + bp):
+                perm[old] = new
+            yield relabel(g, perm)
 
 
 def _bucket(candidates, use_gamma: bool) -> list[DecoratedGraph]:
+    """One graph per isomorphism class, by exhausting relabelings.
+
+    Two graphs are isomorphic when a relabeling of one has the other's
+    vertex data, parallel edge weights and (when ``use_gamma``) gamma.
+    """
+
+    def form(g: DecoratedGraph):
+        return (g.vertices, tuple(sorted(g.cells().items())),
+                g.gamma if use_gamma else None)
+
+    seen = set()
     reps: list[DecoratedGraph] = []
     for g in candidates:
-        if not any(_brute_equivalent(g, r, use_gamma) for r in reps):
+        if not any(form(h) in seen for h in _relabelings(g)):
+            seen.add(form(g))
             reps.append(g)
     return reps
-
-
-def _naive_plain_graphs(t: TopType, bounds: EnumerationBounds, min_w: int,
-                        min_b: int, checker, meter: WorkMeter):
-    """Labeled decorated graphs (gamma-less) the checker accepts.
-
-    The only pruning is sound by construction: no empty rows or columns
-    (degree-0 vertexes cannot occur in a valid graph) and roots placed
-    on degree-1 vertexes only (roots have degree 1 by definition).
-    """
-    for n_edges in range(1, bounds.max_edges + 1):
-        for cycle_rank in range(0, bounds.genus_budget + 1):
-            total_v = n_edges + 1 - cycle_rank
-            if total_v < 2:
-                continue
-            for n_w, n_b in _splits(total_v, bounds, min_w, min_b):
-                n_white_roots = len(bounds.white_root_weights)
-                n_black_roots = len(bounds.black_root_weights)
-                for mat in _all_matrices(n_w, n_b, n_edges, meter):
-                    if not _matrix_connected(mat):
-                        continue
-                    cells = _cells_of(mat)
-                    mults = [m for _, _, m in cells]
-                    deg1_w = [i for i in range(n_w) if sum(mat[i]) == 1]
-                    deg1_b = [j for j in range(n_b)
-                              if sum(mat[i][j] for i in range(n_w)) == 1]
-                    if (len(deg1_w) < n_white_roots
-                            or len(deg1_b) < n_black_roots):
-                        continue
-                    vweight_total = bounds.genus_budget - cycle_rank
-                    for weights in _weight_splits(mults,
-                                                  bounds.edge_weight_sum):
-                        for white_roots in combinations(deg1_w,
-                                                        n_white_roots):
-                            for black_roots in combinations(
-                                    [n_w + j for j in deg1_b],
-                                    n_black_roots):
-                                roots = set(white_roots) | set(black_roots)
-                                free = [v for v in range(n_w + n_b)
-                                        if v not in roots]
-                                for comp in _compositions(vweight_total,
-                                                          len(free)):
-                                    meter.tick()
-                                    vw = dict(zip(free, comp))
-                                    g = _assemble(n_w, n_b, cells, weights,
-                                                  set(white_roots),
-                                                  set(black_roots), vw)
-                                    if checker(g):
-                                        yield g
 
 
 def enum_nonsep_naive(t: TopType, *,
@@ -552,45 +544,37 @@ def enum_nonsep_naive(t: TopType, *,
                       involution: bool = True,
                       meter: WorkMeter | None = None
                       ) -> list[DecoratedGraph]:
-    """Brute-force census of non-separating graphs; small types only."""
+    """Brute-force census of non-separating graphs; small types only.
+
+    Every color-swapping bijection of every accepted labeled graph is
+    tried as gamma, and the checker alone decides which are admissible.
+    """
     if t.variant is not Variant.NONSEP:
         raise ValueError("enum_nonsep_naive needs a non-separating type")
+    _require_graph_model(t)
     meter = meter or WorkMeter()
-    bounds = bounds_for(t)
 
     def structural_ok(g: DecoratedGraph) -> bool:
         report = check_nonsep(g, t, involution)
-        return all(v.clause == "gamma-missing" for v in report.items)
+        return report.clauses == ("gamma-missing",)
 
     candidates = []
-    for plain in _naive_plain_graphs(t, bounds, t.k, t.k, structural_ok,
-                                     meter):
+    for plain in _naive_plain_graphs(t, structural_ok, meter):
         whites = plain.ids_of(Color.WHITE)
         blacks = plain.ids_of(Color.BLACK)
         admitted = []
-        for bij in permutations(blacks):
-            perm = list(range(len(plain.vertices)))
-            for w, b in zip(whites, bij):
-                perm[w] = b
-            if involution:
-                for w, b in zip(whites, bij):
-                    perm[b] = w
-                taus = [None]
-            else:
-                taus = list(permutations(whites))
-            for tau in taus:
-                if tau is not None:
-                    for b, w in zip(blacks, tau):
-                        perm[b] = w
+        for to_black in permutations(blacks):
+            for to_white in permutations(whites):
                 meter.tick()
-                g = replace(plain, gamma=tuple(perm))
+                gamma = [0] * len(plain.vertices)
+                for old, new in zip(whites + blacks, to_black + to_white):
+                    gamma[old] = new
+                g = replace(plain, gamma=tuple(gamma))
                 if check_nonsep(g, t, involution).ok:
                     admitted.append(g)
         if gamma_mode is GammaMode.EXISTENCE:
-            if admitted:
-                candidates.append(admitted[0])
-        else:
-            candidates.extend(admitted)
+            admitted = admitted[:1]
+        candidates.extend(admitted)
     return _bucket(candidates, gamma_mode is GammaMode.AS_DATA)
 
 
@@ -599,14 +583,7 @@ def enum_sep_naive(t: TopType, *, allow_full_degree: bool = False,
     """Brute-force census of separating graphs; small types only."""
     if t.variant is not Variant.SEP:
         raise ValueError("enum_sep_naive needs a separating type")
-    bounds = _sep_bounds(t, allow_full_degree)
+    _require_sep_census(t, allow_full_degree)
     meter = meter or WorkMeter()
-    n_neg = len(bounds.white_root_weights)
-    n_pos = len(bounds.black_root_weights)
-
-    def ok(g: DecoratedGraph) -> bool:
-        return check_sep(g, t).ok
-
-    candidates = list(_naive_plain_graphs(t, bounds, n_neg, n_pos, ok,
-                                          meter))
-    return _bucket(candidates, False)
+    return _bucket(_naive_plain_graphs(t, lambda g: check_sep(g, t).ok,
+                                       meter), False)

@@ -7,6 +7,7 @@ import pathlib
 
 import pytest
 
+from rmfchi import census
 from rmfchi.census import (
     CSV_COLUMNS,
     SweepBounds,
@@ -19,7 +20,9 @@ from rmfchi.census import (
 )
 from rmfchi.topotype import Variant, format_type, is_normal, nonsep
 
-GOLDEN = pathlib.Path(__file__).parent / "golden" / "catalog_g1_n3_i2.jsonl"
+GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
+GOLDEN = GOLDEN_DIR / "catalog_g1_n3_i2.jsonl"
+LARGER_GOLDEN = GOLDEN_DIR / "catalog_g3_n6_i3.jsonl"
 
 
 def _jsonl(records) -> str:
@@ -33,11 +36,46 @@ def test_small_catalog_matches_golden_file():
     assert _jsonl(records) == GOLDEN.read_text()
 
 
+def test_larger_catalog_matches_golden_file():
+    records = sweep(SweepBounds(g_max=3, n_max=6, abs_i_max=3), workers=2)
+    assert _jsonl(records).encode() == LARGER_GOLDEN.read_bytes()
+
+
 def test_worker_count_does_not_change_output():
     bounds = SweepBounds(g_max=1, n_max=3, abs_i_max=2)
     sequential = _jsonl(sweep(bounds))
     parallel = _jsonl(sweep(bounds, workers=2))
     assert parallel == sequential
+
+
+def test_worker_count_is_capped(monkeypatch):
+    # The pool forks all its workers up front, so its size is checked
+    # with a stand-in that records it and runs the jobs inline.
+    sizes = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(census, "ProcessPoolExecutor", InlinePool)
+    bounds = SweepBounds(g_max=1, n_max=3, abs_i_max=2)
+    golden = GOLDEN.read_text()
+    assert len(golden.splitlines()) == 12
+    for cpus, workers in ((4, 10**9), (64, 10**9), (64, 3), (None, 8)):
+        monkeypatch.setattr(census.os, "cpu_count", lambda n=cpus: n)
+        assert _jsonl(sweep(bounds, workers=workers)) == golden
+    # 4 CPUs, 12 types, 3 asked; one CPU (or an unknown count) runs
+    # without a pool
+    assert sizes == [4, 12, 3]
 
 
 def test_iter_types_is_sorted_and_existing():

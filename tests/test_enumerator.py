@@ -7,6 +7,7 @@ import sys
 
 import pytest
 
+from rmfchi import enumerator
 from rmfchi.decograph import (
     ZeroIndexError,
     canonical_key,
@@ -113,8 +114,16 @@ def test_work_meter(monkeypatch):
     assert WorkMeter().limit == 17
     with pytest.raises(WorkLimitExceeded):
         enum_nonsep(nonsep(2, 5, (1,)), meter=WorkMeter(limit=20))
+    # The oracle charges one tick per core and one per candidate: the
+    # limit binds at exactly the work an unlimited run reports.
+    t = sep(1, 5, (1, 2))
+    meter = WorkMeter(limit=DEFAULT_WORK_LIMIT)
+    graphs = enum_sep_naive(t, meter=meter)
+    used = meter.used
+    assert used >= 2
     with pytest.raises(WorkLimitExceeded):
-        enum_sep_naive(sep(1, 5, (1, 2)), meter=WorkMeter(limit=20))
+        enum_sep_naive(t, meter=WorkMeter(limit=used - 1))
+    assert enum_sep_naive(t, meter=WorkMeter(limit=used)) == graphs
 
 
 def test_deterministic():
@@ -130,9 +139,14 @@ def _same_census(fast, naive):
         == sorted(canonical_key(g) for g in naive)
 
 
+NAIVE_NONSEP_TYPES = (nonsep(0, 4, ()), nonsep(1, 3, (1,)),
+                      nonsep(1, 4, ()), nonsep(2, 4, (2,)))
+NAIVE_SEP_TYPES = (sep(1, 3, (1, 2)), sep(1, 2, (1, 1)), sep(1, 5, (1, 2)),
+                   sep(1, 5, (-1, 2)))
+
+
 def test_naive_agrees_on_nonsep():
-    for t in (nonsep(0, 4, ()), nonsep(1, 3, (1,)), nonsep(1, 4, ()),
-              nonsep(2, 4, (2,))):
+    for t in NAIVE_NONSEP_TYPES:
         for mode in (GammaMode.AS_DATA, GammaMode.EXISTENCE):
             _same_census(enum_nonsep(t, gamma_mode=mode),
                          enum_nonsep_naive(t, gamma_mode=mode))
@@ -141,8 +155,7 @@ def test_naive_agrees_on_nonsep():
 
 
 def test_naive_agrees_on_sep():
-    for t in (sep(1, 3, (1, 2)), sep(1, 2, (1, 1)), sep(1, 5, (1, 2)),
-              sep(1, 5, (-1, 2))):
+    for t in NAIVE_SEP_TYPES:
         _same_census(enum_sep(t, allow_full_degree=True),
                      enum_sep_naive(t, allow_full_degree=True))
 
@@ -150,6 +163,37 @@ def test_naive_agrees_on_sep():
 def test_naive_agrees_on_larger_sep():
     t = sep(3, 6, (1, -1))
     _same_census(enum_sep(t), enum_sep_naive(t))
+
+
+FAST_PATH_NAMES = (
+    "bounds_for", "_splits", "_shapes", "_decorations", "_compositions",
+    "_partitions_exact", "_weight_splits", "_matrix_connected", "_cells_of",
+    "_assemble", "_root_choices", "canonical_key", "find_gammas",
+)
+
+
+def test_naive_census_shares_nothing_with_the_fast_path(monkeypatch):
+    # Agreement with the fast path is evidence only if the oracle runs
+    # none of its code: with every fast-path helper made to raise, the
+    # oracle must still return the same graphs.
+    runs = [(enum_nonsep_naive, t, kwargs) for t in NAIVE_NONSEP_TYPES
+            for kwargs in ({"gamma_mode": GammaMode.AS_DATA},
+                           {"gamma_mode": GammaMode.EXISTENCE},
+                           {"involution": False})]
+    runs += [(enum_sep_naive, t, {"allow_full_degree": True})
+             for t in NAIVE_SEP_TYPES]
+    expected = [census(t, **kwargs) for census, t, kwargs in runs]
+
+    def fast_path(*args, **kwargs):
+        raise AssertionError("the naive census ran fast-path code")
+
+    for name in FAST_PATH_NAMES:
+        monkeypatch.setattr(enumerator, name, fast_path)
+    assert [census(t, **kwargs) for census, t, kwargs in runs] == expected
+    with pytest.raises(FullDegreeError):
+        enum_sep_naive(sep(1, 3, (1, 2)))
+    with pytest.raises(ZeroIndexError):
+        enum_nonsep_naive(nonsep(2, 4, (0, 2)))
 
 
 def test_output_check_survives_optimize():
