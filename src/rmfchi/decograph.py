@@ -280,11 +280,13 @@ def find_gammas(g: DecoratedGraph,
     """All admissible color-swapping symmetries, sorted.
 
     A gamma is an isomorphism from the graph onto its color-swapped
-    copy, so the canonical search reads them off: every order of the
-    copy whose rows equal the graph's minimal rows is the image of one
-    minimal order of the graph.  The resulting permutations are kept
-    when :func:`gamma_violations` finds nothing, so with ``involution``
-    (the default) only order-two symmetries survive.
+    copy, so the canonical search reads them off: fix the first order
+    of the graph that the refinement admits, and every order of the
+    copy whose rows equal that order's rows is its image under one
+    isomorphism.  The graph itself is not searched, so a census that
+    has just keyed it searches it once.  The resulting permutations are
+    kept when :func:`gamma_violations` finds nothing, so with
+    ``involution`` (the default) only order-two symmetries survive.
     """
     incident = _incidence(g)
 
@@ -293,7 +295,10 @@ def find_gammas(g: DecoratedGraph,
 
     if side(Color.WHITE) != side(Color.BLACK):
         return []
-    _, rows, orders = _search(g)
+    classes, _ = _refined_classes(g)
+    order = [v for cls in classes for v in cls]
+    cells = g.cells()
+    rows = [_row(cells, v, order[:pos]) for pos, v in enumerate(order)]
     other = {Color.WHITE: Color.BLACK, Color.BLACK: Color.WHITE}
     swapped = DecoratedGraph(
         tuple(replace(v, color=other[v.color]) for v in g.vertices), g.edges)
@@ -301,7 +306,7 @@ def find_gammas(g: DecoratedGraph,
     results = []
     for match in matches:
         perm = [0] * len(g.vertices)
-        for v, image in zip(orders[0], match):
+        for v, image in zip(order, match):
             perm[v] = image
         if not gamma_violations(g, perm, involution):
             results.append(tuple(perm))
@@ -512,6 +517,11 @@ def _refined_classes(g: DecoratedGraph):
     return ordered, keys
 
 
+def _row(cells, v: int, earlier) -> tuple[tuple[int, ...], ...]:
+    """The edge weights from v to each vertex of ``earlier``, in turn."""
+    return tuple(cells.get((v, u) if v < u else (u, v), ()) for u in earlier)
+
+
 def _search(g: DecoratedGraph, target: list[tuple] | None = None):
     """The backtracking search over the vertex orders the refinement admits.
 
@@ -524,10 +534,6 @@ def _search(g: DecoratedGraph, target: list[tuple] | None = None):
     classes, class_keys = _refined_classes(g)
     header = tuple((key, len(cls)) for key, cls in zip(class_keys, classes))
     cells = g.cells()
-
-    def pair_weights(a: int, b: int) -> tuple[int, ...]:
-        return cells.get((a, b) if a < b else (b, a), ())
-
     slots = [list(cls) for cls in classes]
     order: list[int] = []
     rows: list[tuple] = []
@@ -542,7 +548,7 @@ def _search(g: DecoratedGraph, target: list[tuple] | None = None):
             orders.append(tuple(order))
             return
         for v in list(slots[ci]):
-            row = tuple(pair_weights(v, u) for u in order)
+            row = _row(cells, v, order)
             if best is not None:
                 prefix, bound = rows + [row], best[: len(rows) + 1]
                 if prefix > bound or (target is not None

@@ -91,10 +91,12 @@ class GammaMode(str, Enum):
 class EnumerationBounds:
     """Finite search region implied by the genus and degree equations.
 
-    Every valid graph has edge weights summing to ``edge_weight_sum``
-    (so at most that many edges), and its cycle rank plus total vertex
-    weight equals ``genus_budget``.  Root edge weights are forced, one
-    multiset per color.
+    Every valid graph has edge weights summing to ``edge_weight_sum``,
+    and its cycle rank plus total vertex weight equals ``genus_budget``.
+    Root edge weights are forced, one multiset per color.  Each root
+    edge is a single edge carrying its whole index and every other edge
+    weighs at least 1, so a graph has at most ``max_edges`` edges: the
+    edge weight sum less the root weights, plus one edge per root.
     """
 
     edge_weight_sum: int
@@ -105,7 +107,8 @@ class EnumerationBounds:
 
     @property
     def max_edges(self) -> int:
-        return self.edge_weight_sum
+        roots = self.white_root_weights + self.black_root_weights
+        return self.edge_weight_sum - sum(roots) + len(roots)
 
     @property
     def max_vertices(self) -> int:
@@ -149,6 +152,24 @@ def _compositions(total: int, slots: int):
     for first in range(total + 1):
         for rest in _compositions(total - first, slots - 1):
             yield (first,) + rest
+
+
+def _compositions_upto(total: int, cap: tuple[int, ...]):
+    """The compositions of ``total`` into ``len(cap)`` parts that are <= cap.
+
+    They come in the order :func:`_compositions` yields them, so this is
+    that generator filtered by ``row <= cap``, without building the rows
+    the filter would drop.
+    """
+    if not cap:
+        if total == 0:
+            yield ()
+        return
+    for first in range(min(total, cap[0]) + 1):
+        rest = (_compositions(total - first, len(cap) - 1) if first < cap[0]
+                else _compositions_upto(total - first, cap[1:]))
+        for tail in rest:
+            yield (first,) + tail
 
 
 def _partitions_exact(total: int, parts: int, minimum: int = 1):
@@ -206,11 +227,14 @@ def _shapes(n_w: int, n_b: int, total: int, meter: WorkMeter):
                         and _is_canonical(mat, n_b)):
                     yield mat
             return
+        # Rows come in non-increasing order, and the last row takes all
+        # that remains.
         left_after = n_w - i - 1
-        for s in range(1, remaining - left_after + 1):
-            for row in _compositions(s, n_b):
-                if prev is not None and row > prev:
-                    continue
+        lowest = remaining if left_after == 0 else 1
+        for s in range(lowest, remaining - left_after + 1):
+            rows = (_compositions(s, n_b) if prev is None
+                    else _compositions_upto(s, prev))
+            for row in rows:
                 yield from rows_from(i + 1, remaining - s, row, acc + [row])
 
     yield from rows_from(0, total, None, [])

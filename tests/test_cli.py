@@ -13,6 +13,8 @@ from rmfchi.topotype import nonsep
 
 GOLDEN = pathlib.Path(__file__).parent / "golden" / "catalog_g1_n3_i2.jsonl"
 GRAPHS_GOLDEN = pathlib.Path(__file__).parent / "golden" / "graphs.jsonl"
+LARGER_GOLDEN = (pathlib.Path(__file__).parent / "golden"
+                 / "catalog_g3_n6_i3.jsonl")
 
 
 def test_validate(capsys):
@@ -168,6 +170,15 @@ def test_catalog_matches_golden(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out) \
         == {"records": 12, "path": str(two)}
     assert two.read_text() == GOLDEN.read_text()
+
+
+def test_larger_catalog_matches_golden(tmp_path, capsys):
+    out = tmp_path / "cat.jsonl"
+    assert main(["catalog", "--g-max", "3", "--n-max", "6",
+                 "--abs-i-max", "3", "--workers", "2",
+                 "--out", str(out)]) == 0
+    assert capsys.readouterr().out == f"records=205 path={out}\n"
+    assert out.read_bytes() == LARGER_GOLDEN.read_bytes()
 
 
 def test_catalog_csv(tmp_path, capsys):

@@ -4,8 +4,10 @@ from __future__ import annotations
 
 import subprocess
 import sys
+from itertools import product
 
 import pytest
+from test_acceptance import _graph_model_types
 
 from rmfchi import enumerator
 from rmfchi.decograph import (
@@ -16,6 +18,7 @@ from rmfchi.decograph import (
 )
 from rmfchi.enumerator import (
     DEFAULT_WORK_LIMIT,
+    EnumerationBounds,
     FullDegreeError,
     GammaMode,
     WorkLimitExceeded,
@@ -26,7 +29,13 @@ from rmfchi.enumerator import (
     enum_sep,
     enum_sep_naive,
 )
-from rmfchi.topotype import NonExistentTypeError, nonsep, sep, sepext
+from rmfchi.topotype import (
+    NonExistentTypeError,
+    Variant,
+    nonsep,
+    sep,
+    sepext,
+)
 
 
 def test_frozen_nonsep_counts():
@@ -106,6 +115,41 @@ def test_bounds():
     assert b.white_root_weights == (1,) and b.black_root_weights == (1,)
     assert not b.balanced
 
+    # each root edge carries its whole index, every other edge weighs 1+
+    b = bounds_for(nonsep(3, 6, (2, 2)))
+    assert b.edge_weight_sum == 10 and b.max_edges == 6
+
+    b = bounds_for(sep(3, 8, (3, 3)))
+    assert b.edge_weight_sum == 7 and b.max_edges == 3
+    assert b.white_root_weights == () and b.black_root_weights == (3, 3)
+
+
+def test_tight_edge_bound_loses_nothing(monkeypatch):
+    # Under the loose bound (every edge weighs at least 1) the census
+    # must return the same graphs, representatives and order.
+    types = _graph_model_types(2, 5, 3)
+    assert len(types) == 44
+    assert any(bounds_for(t).max_edges < bounds_for(t).edge_weight_sum
+               for t in types)
+
+    def censuses():
+        return [enum_nonsep(t) if t.variant is Variant.NONSEP
+                else enum_sep(t, allow_full_degree=True) for t in types]
+
+    tight = censuses()
+    monkeypatch.setattr(EnumerationBounds, "max_edges",
+                        property(lambda b: b.edge_weight_sum))
+    assert censuses() == tight
+
+
+def test_bounded_compositions_are_the_filtered_ones():
+    for total in range(7):
+        for slots in range(5):
+            rows = list(enumerator._compositions(total, slots))
+            for cap in product(range(total + 1), repeat=slots):
+                assert list(enumerator._compositions_upto(total, cap)) \
+                    == [row for row in rows if row <= cap]
+
 
 def test_work_meter(monkeypatch):
     meter = WorkMeter()
@@ -167,6 +211,7 @@ def test_naive_agrees_on_larger_sep():
 
 FAST_PATH_NAMES = (
     "bounds_for", "_splits", "_shapes", "_decorations", "_compositions",
+    "_compositions_upto",
     "_partitions_exact", "_weight_splits", "_matrix_connected", "_cells_of",
     "_assemble", "_root_choices", "canonical_key", "find_gammas",
 )
