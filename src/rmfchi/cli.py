@@ -149,6 +149,8 @@ def _cmd_strata(args) -> int:
 
 
 def _cmd_verify_cells(args) -> int:
+    if args.max_s > strata.MAX_CHAIN:
+        raise ValueError(f"--max-s must be <= {strata.MAX_CHAIN}")
     checks = []
     for k in range(args.max_s + 1):
         got = strata.chi_w_real(k)

@@ -23,6 +23,7 @@ import os
 from dataclasses import dataclass, replace
 from enum import Enum
 from itertools import combinations, permutations, product
+from operator import add
 
 from .decograph import (
     Color,
@@ -154,22 +155,35 @@ def _compositions(total: int, slots: int):
             yield (first,) + rest
 
 
-def _compositions_upto(total: int, cap: tuple[int, ...]):
-    """The compositions of ``total`` into ``len(cap)`` parts that are <= cap.
+def _compositions_upto(total: int, cap: tuple[int, ...],
+                       ties: tuple[bool, ...]):
+    """Compositions of ``total`` into ``len(cap)`` parts for one shape row.
 
-    They come in the order :func:`_compositions` yields them, so this is
-    that generator filtered by ``row <= cap``, without building the rows
-    the filter would drop.
+    A row is at most ``cap`` (the row above it), and where two adjacent
+    columns j, j + 1 are equal in every row above (``ties[j]``), part j
+    is at least part j + 1.  The rows come in the order
+    :func:`_compositions` yields them, so this is that generator
+    filtered by both conditions, without building the rows they drop.
     """
-    if not cap:
-        if total == 0:
-            yield ()
-        return
-    for first in range(min(total, cap[0]) + 1):
-        rest = (_compositions(total - first, len(cap) - 1) if first < cap[0]
-                else _compositions_upto(total - first, cap[1:]))
-        for tail in rest:
-            yield (first,) + tail
+    slots = len(cap)
+    # parts j, j + 1, ... never rise when every tie from j on holds
+    falling = [all(ties[j:]) for j in range(slots)]
+
+    def rec(j: int, left: int, above: int, tight: bool, prefix):
+        top = min(left, above, cap[j]) if tight else min(left, above)
+        if j == slots - 1:
+            if left <= top:
+                yield prefix + (left,)
+            return
+        low = -(-left // (slots - j)) if falling[j] else 0
+        for part in range(low, top + 1):
+            yield from rec(j + 1, left - part, part if ties[j] else total,
+                           tight and part == cap[j], prefix + (part,))
+
+    if slots:
+        yield from rec(0, total, total, True, ())
+    elif total == 0:
+        yield ()
 
 
 def _partitions_exact(total: int, parts: int, minimum: int = 1):
@@ -214,30 +228,51 @@ def _is_canonical(mat, n_b: int) -> bool:
     return True
 
 
-def _shapes(n_w: int, n_b: int, total: int, meter: WorkMeter):
-    """Canonical connected multigraph shapes as multiplicity matrices."""
+def _shapes(n_w: int, n_b: int, total: int, white_roots: int,
+            black_roots: int, meter: WorkMeter):
+    """Canonical connected multigraph shapes as multiplicity matrices.
 
-    def rows_from(i: int, remaining: int, prev, acc):
+    Only shapes with room for the roots are kept: every root is a
+    vertex of degree 1, so ``white_roots`` rows and ``black_roots``
+    columns must have sum 1.  Partial matrices are cut as soon as they
+    cannot become such a shape: column sums only grow, and a row's sum
+    is final.
+    They are also cut when they cannot become canonical: if column j
+    read top-down were below column j + 1, swapping the two would raise
+    the first row where they differ, and the row-sorted result would be
+    larger.  :func:`_is_canonical` stays the final judge.
+    """
+
+    def rows_from(i: int, remaining: int, prev, ties, colsums, unit_rows,
+                  acc):
         if i == n_w:
-            if remaining == 0:
-                mat = tuple(acc)
-                meter.tick()
-                if (all(any(row[j] for row in mat) for j in range(n_b))
-                        and _matrix_connected(mat)
-                        and _is_canonical(mat, n_b)):
-                    yield mat
+            mat = tuple(acc)
+            meter.tick()
+            if (all(colsums) and _matrix_connected(mat)
+                    and _is_canonical(mat, n_b)):
+                yield mat
             return
         # Rows come in non-increasing order, and the last row takes all
         # that remains.
         left_after = n_w - i - 1
         lowest = remaining if left_after == 0 else 1
         for s in range(lowest, remaining - left_after + 1):
-            rows = (_compositions(s, n_b) if prev is None
-                    else _compositions_upto(s, prev))
-            for row in rows:
-                yield from rows_from(i + 1, remaining - s, row, acc + [row])
+            units = unit_rows + (s == 1)
+            if units + left_after < white_roots:
+                continue
+            for row in _compositions_upto(s, prev, ties):
+                sums = tuple(map(add, colsums, row))
+                if sum(c <= 1 for c in sums) < black_roots:
+                    continue
+                still_tied = tuple(t and a == b
+                                   for t, a, b in zip(ties, row, row[1:]))
+                yield from rows_from(i + 1, remaining - s, row, still_tied,
+                                     sums, units, acc + [row])
 
-    yield from rows_from(0, total, None, [])
+    # The first row has no row above it: a cap of ``total`` in every
+    # column admits any row, and every column pair starts tied.
+    yield from rows_from(0, total, (total,) * n_b, (True,) * (n_b - 1),
+                         (0,) * n_b, 0, [])
 
 
 def _cells_of(mat):
@@ -296,9 +331,6 @@ def _decorations(mat, n_w, n_b, bounds: EnumerationBounds, cycle_rank: int,
     deg1_w = [i for i in range(n_w) if sum(mat[i]) == 1]
     deg1_b = [j for j in range(n_b)
               if sum(mat[i][j] for i in range(n_w)) == 1]
-    if (len(deg1_w) < len(bounds.white_root_weights)
-            or len(deg1_b) < len(bounds.black_root_weights)):
-        return
     cell_index = {}
     for idx, (i, j, m) in enumerate(cells):
         if m == 1:
@@ -362,7 +394,9 @@ def _plain_classes(bounds: EnumerationBounds, meter: WorkMeter):
             if total_v < 2:
                 continue
             for n_w, n_b in _splits(total_v, bounds):
-                for mat in _shapes(n_w, n_b, n_edges, meter):
+                for mat in _shapes(n_w, n_b, n_edges,
+                                   len(bounds.white_root_weights),
+                                   len(bounds.black_root_weights), meter):
                     for plain in _decorations(mat, n_w, n_b, bounds,
                                               cycle_rank, meter):
                         key = canonical_key(plain)

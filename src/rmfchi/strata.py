@@ -15,6 +15,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from itertools import product
+
+# Hard caps on the two inputs whose output grows exponentially.  The
+# degree-m divisor space has 46,092 strata at m = 30, and a chain of s
+# conjugate-pair clusters has 2^(s-1) cells (32,768 at s = 16); past
+# the caps the work and memory run away, so larger inputs are an
+# error, never a silent truncation.
+MAX_DEGREE = 30
+MAX_CHAIN = 16
 
 
 @dataclass(frozen=True)
@@ -65,8 +74,8 @@ def enumerate_strata(m: int) -> list[StratumSignature]:
 
     Ordered by (len(P) + len(Q), P, Q) so coarser strata come first.
     """
-    if m < 0:
-        raise ValueError("m must be >= 0")
+    if not 0 <= m <= MAX_DEGREE:
+        raise ValueError(f"m must satisfy 0 <= m <= {MAX_DEGREE}")
     found = []
     for pair_total in range(m // 2 + 1):
         real_total = m - 2 * pair_total
@@ -126,19 +135,14 @@ def cells_lambda(s: int) -> list[CellDescriptor]:
     cells; a cell has dimension 2 + 2 #strict + #weak.  Ordered with
     strict links first so the top cell leads.
     """
-    if s < 1:
-        raise ValueError("s must be >= 1")
-    cells = []
-    for mask in range(1 << (s - 1)):
-        relations = tuple(
-            Relation.STRICT if mask & (1 << j) == 0 else Relation.WEAK
-            for j in range(s - 1)
-        )
-        n_strict = sum(1 for r in relations if r is Relation.STRICT)
-        n_weak = len(relations) - n_strict
-        cells.append(CellDescriptor(CellKind.LAMBDA, 2 + 2 * n_strict + n_weak,
-                                    relations))
-    return cells
+    if not 1 <= s <= MAX_CHAIN:
+        raise ValueError(f"s must satisfy 1 <= s <= {MAX_CHAIN}")
+    # Link j is weak when bit j of the cell's index is set: product()
+    # runs its last entry fastest, so each tuple is read reversed.
+    return [CellDescriptor(CellKind.LAMBDA,
+                           2 * s - links.count(Relation.WEAK), links[::-1])
+            for links in product((Relation.STRICT, Relation.WEAK),
+                                 repeat=s - 1)]
 
 
 def chi_w_real(k: int) -> int:

@@ -7,6 +7,7 @@ import pathlib
 import subprocess
 import sys
 
+from rmfchi import strata
 from rmfchi.cli import main
 from rmfchi.decograph import DecoratedGraph, check_nonsep
 from rmfchi.topotype import nonsep
@@ -154,6 +155,19 @@ def test_verify_cells(capsys):
     assert main(["verify-cells", "--json"]) == 0
     data = json.loads(capsys.readouterr().out)
     assert data["ok"] is True and data["cover_ok"] is True
+
+
+def test_exponential_inputs_are_capped(capsys):
+    # Both outputs grow exponentially: past their caps the commands
+    # stop with a named error instead of recursing or running away.
+    assert main(["strata", str(strata.MAX_DEGREE)]) == 0
+    capsys.readouterr()
+    assert main(["strata", "100000"]) == 1
+    assert capsys.readouterr().err \
+        == f"error: m must satisfy 0 <= m <= {strata.MAX_DEGREE}\n"
+    assert main(["verify-cells", "--max-s", "40"]) == 1
+    assert capsys.readouterr().err \
+        == f"error: --max-s must be <= {strata.MAX_CHAIN}\n"
 
 
 def test_catalog_matches_golden(tmp_path, capsys):

@@ -147,8 +147,61 @@ def test_bounded_compositions_are_the_filtered_ones():
         for slots in range(5):
             rows = list(enumerator._compositions(total, slots))
             for cap in product(range(total + 1), repeat=slots):
-                assert list(enumerator._compositions_upto(total, cap)) \
-                    == [row for row in rows if row <= cap]
+                for ties in product((False, True), repeat=max(slots - 1, 0)):
+                    assert list(enumerator._compositions_upto(
+                        total, cap, ties)) == [
+                        row for row in rows if row <= cap
+                        and all(row[j] >= row[j + 1]
+                                for j in range(slots - 1) if ties[j])]
+
+
+def _reference_shapes(n_w: int, n_b: int, total: int):
+    # Every matrix with its rows sorted descending and every column
+    # covered, kept when connected and canonical, in the order the
+    # shape search yields them: by row sum, then row, row by row.
+    rows = sorted((row for row in product(range(total + 1), repeat=n_b)
+                   if 0 < sum(row) <= total), reverse=True)
+    found = []
+
+    def extend(mat, remaining: int, start: int):
+        if len(mat) == n_w:
+            if (remaining == 0 and all(map(any, zip(*mat)))
+                    and enumerator._matrix_connected(mat)
+                    and enumerator._is_canonical(mat, n_b)):
+                found.append(mat)
+            return
+        for k in range(start, len(rows)):
+            if sum(rows[k]) <= remaining:
+                extend(mat + (rows[k],), remaining - sum(rows[k]), k)
+
+    extend((), total, 0)
+    return sorted(found, key=lambda mat: [(sum(row), row) for row in mat])
+
+
+def test_pruned_shapes_are_the_filtered_ones():
+    # Pruning partial matrices by column order and root demand must
+    # keep exactly the shapes with enough degree-1 rows and columns.
+    for n_w in range(1, 5):
+        for n_b in range(1, 5):
+            for total in range(1, 9):
+                shapes = _reference_shapes(n_w, n_b, total)
+                for white_roots, black_roots in product(range(3), repeat=2):
+                    expected = [
+                        mat for mat in shapes
+                        if sum(sum(row) == 1 for row in mat) >= white_roots
+                        and sum(sum(col) == 1 for col in zip(*mat))
+                        >= black_roots]
+                    assert list(enumerator._shapes(
+                        n_w, n_b, total, white_roots, black_roots,
+                        WorkMeter())) == expected
+
+
+def test_shape_search_stays_pruned():
+    # Before rows were pruned by column order and root demand this
+    # census completed 152,311 matrices; the limit is work, not time,
+    # so a slide back to wasteful generation fails on any machine.
+    graphs = enum_nonsep(nonsep(2, 8, (1, 1)), meter=WorkMeter(limit=20_000))
+    assert len(graphs) == 17
 
 
 def test_work_meter(monkeypatch):

@@ -2,7 +2,11 @@
 
 from __future__ import annotations
 
+import pytest
+
 from rmfchi.strata import (
+    MAX_CHAIN,
+    MAX_DEGREE,
     CellKind,
     Relation,
     StratumSignature,
@@ -88,6 +92,31 @@ def test_cells_lambda_shape():
     assert top.relations == (Relation.STRICT, Relation.STRICT)
     for s in range(1, 9):
         assert len(cells_lambda(s)) == 1 << (s - 1)
+
+
+def test_cells_lambda_order():
+    # Cell number `mask` has link j weak exactly when bit j of mask is
+    # set, and its dimension is 2 + 2 #strict + #weak.
+    for s in range(1, 13):
+        expected = []
+        for mask in range(1 << (s - 1)):
+            links = tuple(Relation.WEAK if mask >> j & 1 else Relation.STRICT
+                          for j in range(s - 1))
+            weak = links.count(Relation.WEAK)
+            expected.append((CellKind.LAMBDA, 2 + 2 * (s - 1 - weak) + weak,
+                             links))
+        assert [(c.kind, c.dim, c.relations)
+                for c in cells_lambda(s)] == expected
+
+
+def test_exponential_inputs_are_capped():
+    assert len(cells_lambda(MAX_CHAIN)) == 1 << (MAX_CHAIN - 1)
+    for bad in (0, MAX_CHAIN + 1):
+        with pytest.raises(ValueError):
+            cells_lambda(bad)
+    for bad in (-1, MAX_DEGREE + 1):
+        with pytest.raises(ValueError):
+            enumerate_strata(bad)
 
 
 def test_chi_identities_exhaustive():
