@@ -58,7 +58,6 @@ from .strata import (
     chi_w_lambda,
     chi_w_real,
     enumerate_strata,
-    stratum_dim,
 )
 from .topotype import (
     ExistenceReport,

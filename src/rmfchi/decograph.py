@@ -12,7 +12,8 @@ color-swapping symmetry gamma, recorded as a vertex permutation.
 The checkers validate a graph against a topological type clause by
 clause, and :func:`canonical_key` gives a complete isomorphism invariant
 used for deduplication.  :func:`find_gammas` reads the symmetries off
-the same canonical search, run on the color-swapped copy of the graph.
+the same canonical search, run on the graph and on its color-swapped
+copy.
 """
 
 from __future__ import annotations
@@ -104,9 +105,6 @@ class DecoratedGraph:
         if self.gamma is not None:
             if sorted(self.gamma) != list(range(n)):
                 raise ValueError("gamma must be a permutation of the vertexes")
-
-    def degree(self, v: int) -> int:
-        return sum(1 for e in self.edges if v in (e.u, e.v))
 
     def degrees(self) -> list[int]:
         out = [0] * len(self.vertices)
@@ -280,13 +278,14 @@ def find_gammas(g: DecoratedGraph,
     """All admissible color-swapping symmetries, sorted.
 
     A gamma is an isomorphism from the graph onto its color-swapped
-    copy, so the canonical search reads them off: fix the first order
-    of the graph that the refinement admits, and every order of the
-    copy whose rows equal that order's rows is its image under one
-    isomorphism.  The graph itself is not searched, so a census that
-    has just keyed it searches it once.  The resulting permutations are
-    kept when :func:`gamma_violations` finds nothing, so with
-    ``involution`` (the default) only order-two symmetries survive.
+    copy, so two canonical searches read them off.  The copy is
+    isomorphic to the graph exactly when both searches reach the same
+    header and rows.  Then every minimal order of the copy, matched
+    position by position with the graph's first minimal order, is one
+    isomorphism, and each isomorphism arises once: two minimal orders
+    of one graph differ by an automorphism.  The permutations are kept
+    when :func:`gamma_violations` finds nothing, so with ``involution``
+    (the default) only order-two symmetries survive.
     """
     incident = _incidence(g)
 
@@ -295,18 +294,17 @@ def find_gammas(g: DecoratedGraph,
 
     if side(Color.WHITE) != side(Color.BLACK):
         return []
-    classes, _ = _refined_classes(g)
-    order = [v for cls in classes for v in cls]
-    cells = g.cells()
-    rows = [_row(cells, v, order[:pos]) for pos, v in enumerate(order)]
     other = {Color.WHITE: Color.BLACK, Color.BLACK: Color.WHITE}
     swapped = DecoratedGraph(
         tuple(replace(v, color=other[v.color]) for v in g.vertices), g.edges)
-    _, _, matches = _search(swapped, target=rows)
+    header, rows, orders = _search(g)
+    swapped_header, swapped_rows, matches = _search(swapped)
+    if (header, rows) != (swapped_header, swapped_rows):
+        return []
     results = []
     for match in matches:
         perm = [0] * len(g.vertices)
-        for v, image in zip(order, match):
+        for v, image in zip(orders[0], match):
             perm[v] = image
         if not gamma_violations(g, perm, involution):
             results.append(tuple(perm))
@@ -522,14 +520,13 @@ def _row(cells, v: int, earlier) -> tuple[tuple[int, ...], ...]:
     return tuple(cells.get((v, u) if v < u else (u, v), ()) for u in earlier)
 
 
-def _search(g: DecoratedGraph, target: list[tuple] | None = None):
+def _search(g: DecoratedGraph):
     """The backtracking search over the vertex orders the refinement admits.
 
     An order lists the refined classes one after another.  Its rows are,
     per position, the edge weights to every earlier position.  Returns
     (header, rows, orders): the class header, the minimal rows and every
-    order that achieves them.  With ``target``, only the orders whose
-    rows equal ``target`` are kept, and ``target`` is returned as rows.
+    order that achieves them.
     """
     classes, class_keys = _refined_classes(g)
     header = tuple((key, len(cls)) for key, cls in zip(class_keys, classes))
@@ -537,7 +534,7 @@ def _search(g: DecoratedGraph, target: list[tuple] | None = None):
     slots = [list(cls) for cls in classes]
     order: list[int] = []
     rows: list[tuple] = []
-    best = target
+    best: list[tuple] | None = None
     orders: list[tuple[int, ...]] = []
 
     def rec(ci: int):
@@ -549,11 +546,8 @@ def _search(g: DecoratedGraph, target: list[tuple] | None = None):
             return
         for v in list(slots[ci]):
             row = _row(cells, v, order)
-            if best is not None:
-                prefix, bound = rows + [row], best[: len(rows) + 1]
-                if prefix > bound or (target is not None
-                                      and prefix != bound):
-                    continue
+            if best is not None and rows + [row] > best[: len(rows) + 1]:
+                continue
             slots[ci].remove(v)
             order.append(v)
             rows.append(row)

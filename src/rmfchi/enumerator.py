@@ -11,7 +11,8 @@ way, tries every color-swapping bijection as gamma, keeps what the
 checkers accept, and buckets the survivors by exhausting relabelings.
 It exists so the fast path can be cross-validated and should only be
 used on small types.  The two paths share only the graph data classes,
-``relabel``/``strip_gamma``, the checkers and the input guards.
+``relabel``/``strip_gamma``, the checkers (with their gamma clauses,
+:func:`rmfchi.decograph.gamma_violations`) and the input guards.
 
 Both paths charge every generated object against a work meter so
 runaway inputs fail fast instead of hanging.
@@ -35,10 +36,11 @@ from .decograph import (
     check_nonsep,
     check_sep,
     find_gammas,
+    gamma_violations,
     relabel,
     strip_gamma,
 )
-from .topotype import TopType, Variant, format_type
+from .topotype import TopType, Variant, format_type, has_full_degree
 
 DEFAULT_WORK_LIMIT = 100_000_000
 WORK_LIMIT_ENV = "RMF_WORK_LIMIT"
@@ -110,10 +112,6 @@ class EnumerationBounds:
     def max_edges(self) -> int:
         roots = self.white_root_weights + self.black_root_weights
         return self.edge_weight_sum - sum(roots) + len(roots)
-
-    @property
-    def max_vertices(self) -> int:
-        return self.edge_weight_sum + 1
 
 
 def bounds_for(t: TopType) -> EnumerationBounds:
@@ -437,7 +435,7 @@ def _require_sep_census(t: TopType, allow_full_degree: bool):
     and is enumerated only when the caller asks for it.
     """
     _require_graph_model(t)
-    if sum(abs(i) for i in t.indices) == t.n and not allow_full_degree:
+    if has_full_degree(t) and not allow_full_degree:
         raise FullDegreeError(
             "full-degree separating types are a closed form; "
             "pass allow_full_degree=True to enumerate anyway")
@@ -605,7 +603,10 @@ def enum_nonsep_naive(t: TopType, *,
     """Brute-force census of non-separating graphs; small types only.
 
     Every color-swapping bijection of every accepted labeled graph is
-    tried as gamma, and the checker alone decides which are admissible.
+    tried as gamma.  A plain graph is accepted when ``gamma-missing`` is
+    the only clause it fails, and no other clause reads gamma, so the
+    checker accepts the graph with gamma exactly when
+    :func:`gamma_violations` finds nothing; that is what each trial asks.
     """
     if t.variant is not Variant.NONSEP:
         raise ValueError("enum_nonsep_naive needs a non-separating type")
@@ -627,9 +628,8 @@ def enum_nonsep_naive(t: TopType, *,
                 gamma = [0] * len(plain.vertices)
                 for old, new in zip(whites + blacks, to_black + to_white):
                     gamma[old] = new
-                g = replace(plain, gamma=tuple(gamma))
-                if check_nonsep(g, t, involution).ok:
-                    admitted.append(g)
+                if not gamma_violations(plain, gamma, involution):
+                    admitted.append(replace(plain, gamma=tuple(gamma)))
         if gamma_mode is GammaMode.EXISTENCE:
             admitted = admitted[:1]
         candidates.extend(admitted)

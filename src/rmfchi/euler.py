@@ -16,7 +16,8 @@ from enum import Enum
 
 from .decograph import ZeroIndexError
 from .enumerator import GammaMode, WorkMeter, enum_nonsep, enum_sep
-from .topotype import TopType, Variant, admits_extension, require_exists
+from .topotype import (TopType, Variant, admits_extension, has_full_degree,
+                       require_exists)
 
 
 class Route(str, Enum):
@@ -67,7 +68,7 @@ def chi_component(t: TopType) -> ChiResult:
             return ChiResult(1, Route.COMPONENT_G0)
         return ChiResult(0, Route.COMPONENT_ZERO)
     if t.variant is Variant.SEP:
-        if t.g == 0 and sum(abs(i) for i in t.indices) == t.n:
+        if t.g == 0 and has_full_degree(t):
             return ChiResult(1, Route.COMPONENT_G0)
         return ChiResult(0, Route.COMPONENT_ZERO)
     return ChiResult(0, Route.COMPONENT_ZERO)
@@ -80,10 +81,10 @@ def chi_compactification(t: TopType, *,
                          meter: WorkMeter | None = None) -> ChiResult:
     """chi of the compactification N of the component.
 
-    Non-separating: 0 when some index vanishes (with k > 0), otherwise
-    the number of decorated graphs.  Separating: 1 when |sum i| = n,
-    0 when some degree vanishes, otherwise the number of graphs.
-    Extended: 0 when some degree vanishes, otherwise 1.
+    0 when some index or degree vanishes.  Otherwise: 1 for an extended
+    type; the number of decorated graphs for a non-separating type; for
+    a separating type, 1 when sum |i| = n, else the number of graphs.
+    No existing separating type has both full degree and a zero degree.
 
     ``short_circuit=False`` forces the full-degree separating branch
     through the enumerator instead of the closed form; the route then
@@ -91,25 +92,18 @@ def chi_compactification(t: TopType, *,
     """
     require_exists(t)
     _reject_unextended(t)
+    if any(i == 0 for i in t.indices):
+        return ChiResult(0, Route.ZERO_INDEX)
+    if t.variant is Variant.SEP_EXT:
+        return ChiResult(1, Route.EXT_ONE)
     if t.variant is Variant.NONSEP:
-        if t.k > 0 and any(i == 0 for i in t.indices):
-            return ChiResult(0, Route.ZERO_INDEX)
         graphs = enum_nonsep(t, gamma_mode=gamma_mode,
                              involution=involution, meter=meter)
         return ChiResult(len(graphs), Route.GRAPH_COUNT_NONSEP, len(graphs))
-    if t.variant is Variant.SEP:
-        if sum(abs(i) for i in t.indices) == t.n:
-            if short_circuit:
-                return ChiResult(1, Route.SEP_FULL_DEGREE)
-            graphs = enum_sep(t, allow_full_degree=True, meter=meter)
-            return ChiResult(len(graphs), Route.GRAPH_COUNT_SEP, len(graphs))
-        if any(i == 0 for i in t.indices):
-            return ChiResult(0, Route.ZERO_INDEX)
-        graphs = enum_sep(t, meter=meter)
-        return ChiResult(len(graphs), Route.GRAPH_COUNT_SEP, len(graphs))
-    if any(i == 0 for i in t.indices):
-        return ChiResult(0, Route.ZERO_INDEX)
-    return ChiResult(1, Route.EXT_ONE)
+    if short_circuit and has_full_degree(t):
+        return ChiResult(1, Route.SEP_FULL_DEGREE)
+    graphs = enum_sep(t, allow_full_degree=True, meter=meter)
+    return ChiResult(len(graphs), Route.GRAPH_COUNT_SEP, len(graphs))
 
 
 __all__ = [

@@ -87,10 +87,6 @@ def enumerate_strata(m: int) -> list[StratumSignature]:
     return found
 
 
-def stratum_dim(sig: StratumSignature) -> int:
-    return sig.dim
-
-
 class CellKind(str, Enum):
     REAL_FINITE = "real-finite"      # cluster centre on the real line
     REAL_INFINITY = "real-infinity"  # cluster centre at the real infinity

@@ -191,6 +191,15 @@ def admits_extension(t: TopType) -> bool:
     return abs(total) < total_abs == t.n - 2
 
 
+def has_full_degree(t: TopType) -> bool:
+    """Whether the degrees use up the whole divisor: sum(|I|) = n.
+
+    A separating type of full degree has a closed-form chi(N), and at
+    g = 0 a contractible component.
+    """
+    return sum(abs(i) for i in t.indices) == t.n
+
+
 def _exists_sep_base(g: int, n: int, indices: tuple[int, ...]) -> list[str]:
     k = len(indices)
     total = sum(indices)

@@ -152,6 +152,10 @@ def test_verify_cells(capsys):
     assert main(["verify-cells", "--max-s", "6"]) == 0
     out = capsys.readouterr().out
     assert out.splitlines()[-1] == "cover table r,s<=6 ok"
+    # the largest input the cap admits still verifies
+    assert main(["verify-cells", "--max-s", str(strata.MAX_CHAIN)]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] \
+        == f"cover table r,s<={strata.MAX_CHAIN} ok"
     assert main(["verify-cells", "--json"]) == 0
     data = json.loads(capsys.readouterr().out)
     assert data["ok"] is True and data["cover_ok"] is True

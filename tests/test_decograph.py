@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from itertools import permutations
 
 import pytest
 
@@ -21,7 +22,8 @@ from rmfchi.decograph import (
     relabel,
     strip_gamma,
 )
-from rmfchi.topotype import NonExistentTypeError, nonsep, sep
+from rmfchi.enumerator import WorkMeter, _plain_classes, bounds_for
+from rmfchi.topotype import NonExistentTypeError, nonsep, parse_type, sep
 
 W, B = Color.WHITE, Color.BLACK
 
@@ -119,6 +121,35 @@ def test_find_gammas_four_cycle_rotations():
     g = _four_cycle()
     assert find_gammas(g) == []
     assert find_gammas(g, involution=False) == [(2, 3, 1, 0), (3, 2, 0, 1)]
+
+
+def _gammas_by_brute_force(g, involution):
+    # every bijection sending whites to blacks and blacks to whites
+    whites, blacks = g.ids_of(W), g.ids_of(B)
+    found = []
+    for to_black in permutations(blacks):
+        for to_white in permutations(whites):
+            gamma = [0] * len(g.vertices)
+            for old, new in zip(whites + blacks, to_black + to_white):
+                gamma[old] = new
+            if not gamma_violations(g, gamma, involution):
+                found.append(tuple(gamma))
+    return sorted(found)
+
+
+def test_find_gammas_equals_brute_force():
+    # Every plain class of a few small types, with and without gammas,
+    # in both conventions: the canonical search must find every
+    # admissible gamma, not just the first.
+    nonempty = 0
+    for text in ("1,4,0|", "2,5,0|1", "2,6,0|2"):
+        t = parse_type(text)
+        for _, g in _plain_classes(bounds_for(t), WorkMeter()):
+            for involution in (True, False):
+                want = _gammas_by_brute_force(g, involution)
+                assert find_gammas(g, involution) == want
+                nonempty += bool(want)
+    assert nonempty > 0
 
 
 def test_tampered_graphs_name_their_violations():
@@ -228,7 +259,7 @@ def test_relabel_moves_decorations():
     h = relabel(g, perm)
     for old in range(4):
         assert h.vertices[perm[old]] == g.vertices[old]
-        assert h.degree(perm[old]) == g.degree(old)
+        assert h.degrees()[perm[old]] == g.degrees()[old]
     assert check_nonsep(h, nonsep(1, 3, (1,))).ok
     with pytest.raises(ValueError):
         relabel(g, (0, 0, 1, 2))

@@ -107,7 +107,7 @@ def test_bounds():
     assert b.edge_weight_sum == 6
     assert b.genus_budget == 1
     assert b.white_root_weights == (1,) and b.black_root_weights == (1,)
-    assert b.balanced and b.max_edges == 6 and b.max_vertices == 7
+    assert b.balanced and b.max_edges == 6
 
     b = bounds_for(sep(3, 6, (1, -1)))
     assert b.edge_weight_sum == 4

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from itertools import combinations_with_replacement
+
 import pytest
 
 from rmfchi.enumerator import GammaMode, WorkLimitExceeded, WorkMeter
@@ -11,7 +13,16 @@ from rmfchi.euler import (
     chi_compactification,
     chi_component,
 )
-from rmfchi.topotype import NonExistentTypeError, nonsep, sep, sepext
+from rmfchi.topotype import (
+    NonExistentTypeError,
+    TopType,
+    Variant,
+    exists,
+    has_full_degree,
+    nonsep,
+    sep,
+    sepext,
+)
 
 
 def test_component_closed_form():
@@ -26,6 +37,21 @@ def test_component_closed_form():
     r = chi_component(sepext(3, 4, (-1, 1), 0))
     assert (r.value, r.route) == (0, Route.COMPONENT_ZERO)
     assert r.graph_count is None
+
+
+def test_full_degree_types_have_no_zero_degree():
+    # chi_compactification routes a zero degree before full degree; the
+    # order is safe only because no existing separating type has both.
+    full = 0
+    for g in range(5):
+        for n in range(1, 9):
+            for k in range(1, g + 2):
+                for idx in combinations_with_replacement(range(-4, 5), k):
+                    t = TopType(Variant.SEP, g, n, idx)
+                    if exists(t) and has_full_degree(t):
+                        full += 1
+                        assert 0 not in idx, t
+    assert full == 148
 
 
 def test_compactification_full_degree():

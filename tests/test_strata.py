@@ -16,7 +16,6 @@ from rmfchi.strata import (
     chi_w_lambda,
     chi_w_real,
     enumerate_strata,
-    stratum_dim,
 )
 
 
@@ -55,7 +54,7 @@ def test_degree_one_and_zero():
 def test_stratum_weight_and_dim():
     s = StratumSignature((1, 2), (1,))
     assert s.weight == 5
-    assert stratum_dim(s) == 4
+    assert s.dim == 4
 
 
 def test_counts_match_partition_oracle_up_to_20():
