@@ -52,6 +52,7 @@ from .strata import (
     CellKind,
     Relation,
     StratumSignature,
+    alternating_sum,
     cells_lambda,
     cells_real,
     chi_cover,

@@ -151,22 +151,25 @@ def _cmd_strata(args) -> int:
 def _cmd_verify_cells(args) -> int:
     if args.max_s > strata.MAX_CHAIN:
         raise ValueError(f"--max-s must be <= {strata.MAX_CHAIN}")
-    # One chi per parameter; the cover product reads the s = 0 factor as 1.
-    chi_real = [strata.chi_w_real(k) for k in range(args.max_s + 1)]
-    chi_lambda = [1] + [strata.chi_w_lambda(s)
-                        for s in range(1, args.max_s + 1)]
+    # One complex per parameter gives its cell count and its chi, and
+    # is dropped before the next is built; the cover product reads the
+    # s = 0 factor as 1.
+    def count_and_chi(cells) -> tuple[int, int]:
+        return len(cells), strata.alternating_sum(cells)
+
+    real = [count_and_chi(strata.cells_real(k))
+            for k in range(args.max_s + 1)]
+    lam = [count_and_chi(strata.cells_lambda(s))
+           for s in range(1, args.max_s + 1)]
+    chi_real = [chi for _, chi in real]
+    chi_lambda = [1] + [chi for _, chi in lam]
     checks = []
-    for k in range(args.max_s + 1):
-        expect = 1 if k == 0 else 0
-        cells = len(strata.cells_real(k))
-        want_cells = 1 if k == 0 else 2
-        checks.append(("real", k, cells, want_cells, chi_real[k], expect))
-    for s in range(1, args.max_s + 1):
-        expect = 1 if s == 1 else 0
-        cells = len(strata.cells_lambda(s))
-        want_cells = 1 << (s - 1)
-        checks.append(("lambda", s, cells, want_cells, chi_lambda[s],
-                       expect))
+    for k, (cells, chi) in enumerate(real):
+        checks.append(("real", k, cells, 1 if k == 0 else 2,
+                       chi, 1 if k == 0 else 0))
+    for s, (cells, chi) in enumerate(lam, 1):
+        checks.append(("lambda", s, cells, 1 << (s - 1),
+                       chi, 1 if s == 1 else 0))
     cover_ok = all(chi_real[r] * chi_lambda[s]
                    == (1 if r == 0 and s <= 1 else 0)
                    for r in range(args.max_s + 1)

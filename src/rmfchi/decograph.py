@@ -474,15 +474,22 @@ def _incidence(g: DecoratedGraph) -> list[list[tuple[int, int]]]:
     return incident
 
 
-def _invariant(g: DecoratedGraph, incident, v: int) -> tuple:
-    """Root flag, genus, degree and sorted incident edge weights of v.
+def _vertex_invariant(root: bool, genus: int, weights) -> tuple:
+    """Root flag, genus, degree and sorted incident edge weights.
 
     This is the refinement's initial key without the color, so vertexes
-    of the two colors can be compared.
+    of the two colors can be compared.  A color-swapping symmetry maps
+    each vertex to one with the same invariant, so a graph whose white
+    and black invariants differ as multisets has none.
     """
+    return (int(root), genus, len(weights), tuple(sorted(weights)))
+
+
+def _invariant(g: DecoratedGraph, incident, v: int) -> tuple:
+    """:func:`_vertex_invariant` of vertex v of g."""
     vert = g.vertices[v]
-    return (int(vert.root), vert.weight, len(incident[v]),
-            tuple(sorted(w for _, w in incident[v])))
+    return _vertex_invariant(vert.root, vert.weight,
+                             [w for _, w in incident[v]])
 
 
 def _refined_classes(g: DecoratedGraph):

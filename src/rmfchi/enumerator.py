@@ -32,6 +32,7 @@ from .decograph import (
     Edge,
     Vertex,
     _require_graph_model,
+    _vertex_invariant,
     canonical_key,
     check_nonsep,
     check_sep,
@@ -322,8 +323,15 @@ def _assemble(n_w, n_b, cells, weights, white_roots, black_roots,
 
 
 def _decorations(mat, n_w, n_b, bounds: EnumerationBounds, cycle_rank: int,
-                 meter: WorkMeter):
-    """All decorated graphs (without gamma) on one shape."""
+                 meter: WorkMeter, swappable: bool = False):
+    """All decorated graphs (without gamma) on one shape.
+
+    With ``swappable``, only those whose white and black vertex
+    invariants agree as multisets, the graphs that can carry a
+    color-swapping gamma: a weight split and root choice is dropped when
+    the invariants already differ with every genus read as 0, and a
+    genus composition when the full invariants differ.
+    """
     cells = _cells_of(mat)
     mults = [m for _, _, m in cells]
     deg1_w = [i for i in range(n_w) if sum(mat[i]) == 1]
@@ -334,6 +342,10 @@ def _decorations(mat, n_w, n_b, bounds: EnumerationBounds, cycle_rank: int,
         if m == 1:
             cell_index[(i, j)] = idx
     vweight_total = bounds.genus_budget - cycle_rank
+    cells_at = [[] for _ in range(n_w + n_b)]
+    for idx, (i, j, _) in enumerate(cells):
+        cells_at[i].append(idx)
+        cells_at[n_w + j].append(idx)
 
     for weights in _weight_splits(mults, bounds.edge_weight_sum):
         meter.tick()
@@ -352,13 +364,27 @@ def _decorations(mat, n_w, n_b, bounds: EnumerationBounds, cycle_rank: int,
                                    bounds.black_root_weights)
         if not black_opts:
             continue
+        incident = [[w for idx in at for w in weights[idx]]
+                    for at in cells_at]
+
+        def sides_agree(roots, genus) -> bool:
+            def side(vertexes) -> list[tuple]:
+                return sorted(_vertex_invariant(v in roots, genus.get(v, 0),
+                                                incident[v])
+                              for v in vertexes)
+            return side(range(n_w)) == side(range(n_w, n_w + n_b))
+
         for white_roots in white_opts:
             for black_roots in black_opts:
                 roots = set(white_roots) | set(black_roots)
+                if swappable and not sides_agree(roots, {}):
+                    continue
                 free = [v for v in range(n_w + n_b) if v not in roots]
                 for comp in _compositions(vweight_total, len(free)):
                     meter.tick()
                     vw = dict(zip(free, comp))
+                    if swappable and not sides_agree(roots, vw):
+                        continue
                     yield _assemble(n_w, n_b, cells, weights,
                                     set(white_roots), set(black_roots), vw)
 
@@ -383,8 +409,17 @@ def _splits(total_vertices: int, bounds: EnumerationBounds):
 # fast path: the census loop
 
 
-def _plain_classes(bounds: EnumerationBounds, meter: WorkMeter):
-    """(canonical key, gamma-less graph), once per isomorphism class."""
+def _plain_classes(bounds: EnumerationBounds, meter: WorkMeter,
+                   swappable: bool = False):
+    """(canonical key, gamma-less graph), once per isomorphism class.
+
+    With ``swappable``, only the classes whose white and black vertex
+    invariants agree as multisets (see :func:`_decorations`); a shape
+    is dropped first when its row and column sums, the degrees of the
+    two colors, differ as multisets.  Each test is an isomorphism
+    invariant, so it drops whole classes, and every kept class is still
+    first reached by the same decoration.
+    """
     seen: set[bytes] = set()
     for n_edges in range(1, bounds.max_edges + 1):
         for cycle_rank in range(0, bounds.genus_budget + 1):
@@ -395,8 +430,11 @@ def _plain_classes(bounds: EnumerationBounds, meter: WorkMeter):
                 for mat in _shapes(n_w, n_b, n_edges,
                                    len(bounds.white_root_weights),
                                    len(bounds.black_root_weights), meter):
+                    if swappable and (sorted(map(sum, mat))
+                                      != sorted(map(sum, zip(*mat)))):
+                        continue
                     for plain in _decorations(mat, n_w, n_b, bounds,
-                                              cycle_rank, meter):
+                                              cycle_rank, meter, swappable):
                         key = canonical_key(plain)
                         if key not in seen:
                             seen.add(key)
@@ -456,7 +494,7 @@ def enum_nonsep(t: TopType, *, gamma_mode: GammaMode = GammaMode.AS_DATA,
     meter = meter or WorkMeter()
     bounds = bounds_for(t)
     found: dict[bytes, DecoratedGraph] = {}
-    for _, plain in _plain_classes(bounds, meter):
+    for _, plain in _plain_classes(bounds, meter, swappable=True):
         for gam in find_gammas(plain, involution):
             g = replace(plain, gamma=gam)
             found.setdefault(canonical_key(g), g)

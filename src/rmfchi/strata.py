@@ -141,13 +141,18 @@ def cells_lambda(s: int) -> list[CellDescriptor]:
                                  repeat=s - 1)]
 
 
+def alternating_sum(cells: list[CellDescriptor]) -> int:
+    """Sum of (-1)^dim over the cells: the complex's Euler characteristic."""
+    return sum((-1) ** c.dim for c in cells)
+
+
 def chi_w_real(k: int) -> int:
     """Alternating cell-count sum for the real cluster: 1 if k = 0 else 0.
 
     The two cells have dimensions k and k - 1 of opposite parity, so
     they cancel whenever k >= 1.
     """
-    return sum((-1) ** c.dim for c in cells_real(k))
+    return alternating_sum(cells_real(k))
 
 
 def chi_w_lambda(s: int) -> int:
@@ -156,7 +161,7 @@ def chi_w_lambda(s: int) -> int:
     Equals 1 for s = 1.  A cell's sign is (-1)^(#weak links), so for
     s >= 2 the choices factor into (1 - 1)^(s-1) = 0.
     """
-    return sum((-1) ** c.dim for c in cells_lambda(s))
+    return alternating_sum(cells_lambda(s))
 
 
 def chi_cover(r: int, s: int) -> int:

@@ -161,6 +161,26 @@ def test_verify_cells(capsys):
     assert data["ok"] is True and data["cover_ok"] is True
 
 
+def test_verify_cells_builds_each_complex_once(capsys, monkeypatch):
+    built = []
+
+    def counted(name):
+        original = getattr(strata, name)
+
+        def build(param):
+            built.append((name, param))
+            return original(param)
+        return build
+
+    for name in ("cells_real", "cells_lambda"):
+        monkeypatch.setattr(strata, name, counted(name))
+    assert main(["verify-cells", "--max-s", "6"]) == 0
+    capsys.readouterr()
+    assert sorted(built) == sorted([("cells_real", k) for k in range(7)]
+                                   + [("cells_lambda", s)
+                                      for s in range(1, 7)])
+
+
 def test_exponential_inputs_are_capped(capsys):
     # Both outputs grow exponentially: past their caps the commands
     # stop with a named error instead of recursing or running away.

@@ -141,7 +141,7 @@ def test_find_gammas_equals_brute_force():
     # Every plain class of a few small types, with and without gammas,
     # in both conventions: the canonical search must find every
     # admissible gamma, not just the first.
-    nonempty = 0
+    nonempty = empty = 0
     for text in ("1,4,0|", "2,5,0|1", "2,6,0|2"):
         t = parse_type(text)
         for _, g in _plain_classes(bounds_for(t), WorkMeter()):
@@ -149,7 +149,8 @@ def test_find_gammas_equals_brute_force():
                 want = _gammas_by_brute_force(g, involution)
                 assert find_gammas(g, involution) == want
                 nonempty += bool(want)
-    assert nonempty > 0
+                empty += not want
+    assert nonempty > 0 and empty > 0
 
 
 def test_tampered_graphs_name_their_violations():

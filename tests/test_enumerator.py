@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import subprocess
 import sys
+from dataclasses import replace
 from itertools import product
 
 import pytest
@@ -15,6 +16,7 @@ from rmfchi.decograph import (
     canonical_key,
     check_nonsep,
     check_sep,
+    find_gammas,
 )
 from rmfchi.enumerator import (
     DEFAULT_WORK_LIMIT,
@@ -33,6 +35,7 @@ from rmfchi.topotype import (
     NonExistentTypeError,
     Variant,
     nonsep,
+    parse_type,
     sep,
     sepext,
 )
@@ -204,6 +207,51 @@ def test_shape_search_stays_pruned():
     assert len(graphs) == 17
 
 
+def _unfiltered_nonsep(t, gamma_mode, involution):
+    # The census as it ran before decorations were filtered by vertex
+    # invariants: every plain class is keyed and asked for its gammas.
+    found = {}
+    for _, plain in enumerator._plain_classes(bounds_for(t), WorkMeter()):
+        for gam in find_gammas(plain, involution):
+            g = replace(plain, gamma=gam)
+            found.setdefault(canonical_key(g), g)
+    graphs = [g for _, g in sorted(found.items())]
+    if gamma_mode is GammaMode.EXISTENCE:
+        graphs = enumerator._existence_projection(graphs)
+    return graphs
+
+
+def test_swap_filter_changes_nothing():
+    # Dropping color-asymmetric decorations before keying must keep the
+    # same representatives, byte for byte, in the same order.
+    conventions = ((GammaMode.AS_DATA, True), (GammaMode.EXISTENCE, True),
+                   (GammaMode.AS_DATA, False))
+    for text in ("1,4,0|", "2,5,0|1", "2,6,0|2", "3,6,0|"):
+        t = parse_type(text)
+        for gamma_mode, involution in conventions:
+            want = _unfiltered_nonsep(t, gamma_mode, involution)
+            got = enum_nonsep(t, gamma_mode=gamma_mode,
+                              involution=involution)
+            assert want
+            assert [g.to_json_dict() for g in got] \
+                == [g.to_json_dict() for g in want]
+
+
+def test_nonsep_keys_only_swappable_decorations(monkeypatch):
+    # Before decorations were filtered by vertex invariants this census
+    # keyed 8,397 decorations; the count is work, not time, so a slide
+    # back to keying every decoration fails on any machine.
+    calls = []
+
+    def counted(g):
+        calls.append(g)
+        return canonical_key(g)
+
+    monkeypatch.setattr(enumerator, "canonical_key", counted)
+    assert len(enum_nonsep(nonsep(3, 7, (1,)))) == 31
+    assert len(calls) == 227
+
+
 def test_work_meter(monkeypatch):
     meter = WorkMeter()
     assert meter.limit == DEFAULT_WORK_LIMIT
@@ -266,7 +314,8 @@ FAST_PATH_NAMES = (
     "bounds_for", "_splits", "_shapes", "_decorations", "_compositions",
     "_compositions_upto",
     "_partitions_exact", "_weight_splits", "_matrix_connected", "_cells_of",
-    "_assemble", "_root_choices", "canonical_key", "find_gammas",
+    "_assemble", "_root_choices", "_vertex_invariant", "canonical_key",
+    "find_gammas",
 )
 
 
