@@ -4,7 +4,7 @@ Types are written ``<g>,<n>,<eps>|<i1>,...,<ik>`` with ``;<xi>``
 appended for extended separating types, e.g. ``1,3,0|1`` or
 ``3,4,1|-1,1;0``.  Results go to stdout, diagnostics to stderr.  Exit
 codes: 0 success, 1 domain error (non-existent type, no graph model,
-bad value), 2 usage error, 3 work limit exceeded.
+bad value, unwritable output), 2 usage error, 3 work limit exceeded.
 """
 
 from __future__ import annotations
@@ -149,8 +149,9 @@ def _cmd_strata(args) -> int:
 
 
 def _cmd_verify_cells(args) -> int:
-    if args.max_s > strata.MAX_CHAIN:
-        raise ValueError(f"--max-s must be <= {strata.MAX_CHAIN}")
+    if not 0 <= args.max_s <= strata.MAX_CHAIN:
+        raise ValueError(
+            f"--max-s must satisfy 0 <= --max-s <= {strata.MAX_CHAIN}")
     # One complex per parameter gives its cell count and its chi, and
     # is dropped before the next is built; the cover product reads the
     # s = 0 factor as 1.
@@ -196,10 +197,14 @@ def _cmd_verify_cells(args) -> int:
 def _cmd_catalog(args) -> int:
     bounds = census.SweepBounds(args.g_max, args.n_max, args.abs_i_max,
                                 args.eps)
-    records = census.sweep(bounds, workers=args.workers)
+    # The output is opened before the sweep, so a bad path fails at once.
+    try:
+        fh = open(args.out, "w", encoding="utf-8")
+    except OSError as exc:
+        raise ValueError(f"cannot write {args.out}: {exc.strerror}") from None
     writer = census.write_csv if args.format == "csv" else census.write_jsonl
-    with open(args.out, "w", encoding="utf-8") as fh:
-        count = writer(records, fh)
+    with fh:
+        count = writer(census.sweep(bounds, workers=args.workers), fh)
     if args.json:
         print(json.dumps({"records": count, "path": args.out}))
     else:

@@ -296,52 +296,48 @@ def _weight_splits(mults, total: int):
     yield from rec(0, total, [])
 
 
-def _root_choices(candidates, weight_of, needed):
+def _root_choices(vertexes, incident, needed):
+    """Sets of vertexes that can carry the roots of one color.
+
+    A root candidate has exactly one incident weight, its root weight;
+    a set qualifies when its root weights are ``needed`` as a multiset.
+    """
     need = tuple(sorted(needed))
-    out = []
-    for combo in combinations(candidates, len(need)):
-        if tuple(sorted(weight_of[v] for v in combo)) == need:
-            out.append(combo)
-    return out
+    candidates = [v for v in vertexes if len(incident[v]) == 1]
+    return [set(combo) for combo in combinations(candidates, len(need))
+            if tuple(sorted(incident[v][0] for v in combo)) == need]
 
 
-def _assemble(n_w, n_b, cells, weights, white_roots, black_roots,
-              vertex_weights) -> DecoratedGraph:
-    vertices = []
-    for i in range(n_w):
-        vertices.append(Vertex(Color.WHITE, vertex_weights.get(i, 0),
-                               i in white_roots))
-    for j in range(n_b):
-        v = n_w + j
-        vertices.append(Vertex(Color.BLACK, vertex_weights.get(v, 0),
-                               v in black_roots))
-    edges = []
-    for (i, j, _), ws in zip(cells, weights):
-        for w in ws:
-            edges.append(Edge(i, n_w + j, w))
-    return DecoratedGraph(tuple(vertices), tuple(edges))
+def _assemble(n_w, n_b, cells, weights, roots, genus) -> DecoratedGraph:
+    vertices = tuple(Vertex(Color.WHITE if v < n_w else Color.BLACK,
+                            genus.get(v, 0), v in roots)
+                     for v in range(n_w + n_b))
+    edges = tuple(Edge(i, n_w + j, w)
+                  for (i, j, _), ws in zip(cells, weights) for w in ws)
+    return DecoratedGraph(vertices, edges)
 
 
-def _decorations(mat, n_w, n_b, bounds: EnumerationBounds, cycle_rank: int,
-                 meter: WorkMeter, swappable: bool = False):
+def _decorations(mat, bounds: EnumerationBounds, meter: WorkMeter,
+                 swappable: bool = False):
     """All decorated graphs (without gamma) on one shape.
 
     With ``swappable``, only those whose white and black vertex
     invariants agree as multisets, the graphs that can carry a
-    color-swapping gamma: a weight split and root choice is dropped when
-    the invariants already differ with every genus read as 0, and a
-    genus composition when the full invariants differ.
+    color-swapping gamma.  The test runs at three depths: the shape is
+    dropped when its row and column sums, the degrees of the two colors,
+    differ as multisets; a weight split and root choice when the
+    invariants already differ with every genus read as 0; and a genus
+    composition when the full invariants differ.  Each test is an
+    isomorphism invariant, so it drops whole classes, and every kept
+    class is still first reached by the same decoration.
     """
+    if swappable and sorted(map(sum, mat)) != sorted(map(sum, zip(*mat))):
+        return
+    n_w, n_b = len(mat), len(mat[0])
+    whites, blacks = range(n_w), range(n_w, n_w + n_b)
     cells = _cells_of(mat)
     mults = [m for _, _, m in cells]
-    deg1_w = [i for i in range(n_w) if sum(mat[i]) == 1]
-    deg1_b = [j for j in range(n_b)
-              if sum(mat[i][j] for i in range(n_w)) == 1]
-    cell_index = {}
-    for idx, (i, j, m) in enumerate(cells):
-        if m == 1:
-            cell_index[(i, j)] = idx
-    vweight_total = bounds.genus_budget - cycle_rank
+    cycle_rank = sum(mults) - n_w - n_b + 1
     cells_at = [[] for _ in range(n_w + n_b)]
     for idx, (i, j, _) in enumerate(cells):
         cells_at[i].append(idx)
@@ -349,21 +345,6 @@ def _decorations(mat, n_w, n_b, bounds: EnumerationBounds, cycle_rank: int,
 
     for weights in _weight_splits(mults, bounds.edge_weight_sum):
         meter.tick()
-        w_edge = {}
-        for i in deg1_w:
-            j = next(j for j in range(n_b) if mat[i][j])
-            w_edge[i] = weights[cell_index[(i, j)]][0]
-        for j in deg1_b:
-            i = next(i for i in range(n_w) if mat[i][j])
-            w_edge[n_w + j] = weights[cell_index[(i, j)]][0]
-        white_opts = _root_choices(deg1_w, w_edge,
-                                   bounds.white_root_weights)
-        if not white_opts:
-            continue
-        black_opts = _root_choices([n_w + j for j in deg1_b], w_edge,
-                                   bounds.black_root_weights)
-        if not black_opts:
-            continue
         incident = [[w for idx in at for w in weights[idx]]
                     for at in cells_at]
 
@@ -372,36 +353,34 @@ def _decorations(mat, n_w, n_b, bounds: EnumerationBounds, cycle_rank: int,
                 return sorted(_vertex_invariant(v in roots, genus.get(v, 0),
                                                 incident[v])
                               for v in vertexes)
-            return side(range(n_w)) == side(range(n_w, n_w + n_b))
+            return side(whites) == side(blacks)
 
-        for white_roots in white_opts:
-            for black_roots in black_opts:
-                roots = set(white_roots) | set(black_roots)
-                if swappable and not sides_agree(roots, {}):
+        for white_roots, black_roots in product(
+                _root_choices(whites, incident, bounds.white_root_weights),
+                _root_choices(blacks, incident, bounds.black_root_weights)):
+            roots = white_roots | black_roots
+            if swappable and not sides_agree(roots, {}):
+                continue
+            free = [v for v in range(n_w + n_b) if v not in roots]
+            for comp in _compositions(bounds.genus_budget - cycle_rank,
+                                      len(free)):
+                meter.tick()
+                genus = dict(zip(free, comp))
+                if swappable and not sides_agree(roots, genus):
                     continue
-                free = [v for v in range(n_w + n_b) if v not in roots]
-                for comp in _compositions(vweight_total, len(free)):
-                    meter.tick()
-                    vw = dict(zip(free, comp))
-                    if swappable and not sides_agree(roots, vw):
-                        continue
-                    yield _assemble(n_w, n_b, cells, weights,
-                                    set(white_roots), set(black_roots), vw)
+                yield _assemble(n_w, n_b, cells, weights, roots, genus)
 
 
 def _splits(total_vertices: int, bounds: EnumerationBounds):
-    """(white, black) vertex counts with room for the roots of each color."""
-    min_w = len(bounds.white_root_weights)
-    min_b = len(bounds.black_root_weights)
-    if bounds.balanced:
-        if total_vertices % 2 == 0:
-            half = total_vertices // 2
-            if half >= max(1, min_w) and half >= max(1, min_b):
-                yield half, half
-        return
-    for n_w in range(max(1, min_w), total_vertices):
+    """(white, black) vertex counts with room for the roots of each color.
+
+    A balanced type splits only evenly.
+    """
+    min_w = max(1, len(bounds.white_root_weights))
+    min_b = max(1, len(bounds.black_root_weights))
+    for n_w in range(min_w, total_vertices - min_b + 1):
         n_b = total_vertices - n_w
-        if n_b >= max(1, min_b):
+        if n_w == n_b or not bounds.balanced:
             yield n_w, n_b
 
 
@@ -413,28 +392,17 @@ def _plain_classes(bounds: EnumerationBounds, meter: WorkMeter,
                    swappable: bool = False):
     """(canonical key, gamma-less graph), once per isomorphism class.
 
-    With ``swappable``, only the classes whose white and black vertex
-    invariants agree as multisets (see :func:`_decorations`); a shape
-    is dropped first when its row and column sums, the degrees of the
-    two colors, differ as multisets.  Each test is an isomorphism
-    invariant, so it drops whole classes, and every kept class is still
-    first reached by the same decoration.
+    With ``swappable``, only the classes that can carry a
+    color-swapping gamma (see :func:`_decorations`).
     """
     seen: set[bytes] = set()
     for n_edges in range(1, bounds.max_edges + 1):
         for cycle_rank in range(0, bounds.genus_budget + 1):
-            total_v = n_edges + 1 - cycle_rank
-            if total_v < 2:
-                continue
-            for n_w, n_b in _splits(total_v, bounds):
+            for n_w, n_b in _splits(n_edges + 1 - cycle_rank, bounds):
                 for mat in _shapes(n_w, n_b, n_edges,
                                    len(bounds.white_root_weights),
                                    len(bounds.black_root_weights), meter):
-                    if swappable and (sorted(map(sum, mat))
-                                      != sorted(map(sum, zip(*mat)))):
-                        continue
-                    for plain in _decorations(mat, n_w, n_b, bounds,
-                                              cycle_rank, meter, swappable):
+                    for plain in _decorations(mat, bounds, meter, swappable):
                         key = canonical_key(plain)
                         if key not in seen:
                             seen.add(key)

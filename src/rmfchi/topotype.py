@@ -162,15 +162,15 @@ def normalize(t: TopType) -> TopType:
     sorted_i = tuple(sorted(t.indices))
     if t.variant is Variant.NONSEP:
         return replace(t, indices=sorted_i)
-    flipped = tuple(sorted(-i for i in t.indices))
+    other = sign_flipped(t)
+    flipped = tuple(sorted(other.indices))
     if t.variant is Variant.SEP:
         return replace(t, indices=max(sorted_i, flipped))
-    half = (t.g - t.k + 1) // 2
     if flipped > sorted_i:
-        return replace(t, indices=flipped, xi=half - t.xi)
+        return replace(other, indices=flipped)
     if flipped == sorted_i:
-        return replace(t, indices=sorted_i, xi=min(t.xi, half - t.xi))
-    return replace(t, indices=sorted_i, xi=t.xi)
+        return replace(t, indices=sorted_i, xi=min(t.xi, other.xi))
+    return replace(t, indices=sorted_i)
 
 
 def is_normal(t: TopType) -> bool:

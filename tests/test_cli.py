@@ -7,7 +7,7 @@ import pathlib
 import subprocess
 import sys
 
-from rmfchi import strata
+from rmfchi import census, strata
 from rmfchi.cli import main
 from rmfchi.decograph import DecoratedGraph, check_nonsep
 from rmfchi.topotype import nonsep
@@ -16,6 +16,8 @@ GOLDEN = pathlib.Path(__file__).parent / "golden" / "catalog_g1_n3_i2.jsonl"
 GRAPHS_GOLDEN = pathlib.Path(__file__).parent / "golden" / "graphs.jsonl"
 LARGER_GOLDEN = (pathlib.Path(__file__).parent / "golden"
                  / "catalog_g3_n6_i3.jsonl")
+SEP_GRAPHS_GOLDEN = (pathlib.Path(__file__).parent / "golden"
+                     / "graphs_sep.jsonl")
 
 
 def test_validate(capsys):
@@ -119,6 +121,15 @@ def test_graphs_match_golden(capsys):
     assert "".join(out) == GRAPHS_GOLDEN.read_text()
 
 
+def test_sep_graphs_match_golden(capsys):
+    # the separating representatives and their order, byte for byte
+    out = []
+    for t in ("2,7,1|1", "3,8,1|-1,1", "3,8,1|1,1", "4,8,1|-1,1,2"):
+        assert main(["graphs", t]) == 0
+        out.append(capsys.readouterr().out)
+    assert "".join(out).encode() == SEP_GRAPHS_GOLDEN.read_bytes()
+
+
 def test_graphs_dot(capsys):
     assert main(["graphs", "--format", "dot", "0,4,0|"]) == 0
     out = capsys.readouterr().out
@@ -189,9 +200,13 @@ def test_exponential_inputs_are_capped(capsys):
     assert main(["strata", "100000"]) == 1
     assert capsys.readouterr().err \
         == f"error: m must satisfy 0 <= m <= {strata.MAX_DEGREE}\n"
+    message = (f"error: --max-s must satisfy 0 <= --max-s <= "
+               f"{strata.MAX_CHAIN}\n")
     assert main(["verify-cells", "--max-s", "40"]) == 1
-    assert capsys.readouterr().err \
-        == f"error: --max-s must be <= {strata.MAX_CHAIN}\n"
+    assert capsys.readouterr().err == message
+    # a negative bound would check nothing and still report success
+    assert main(["verify-cells", "--max-s", "-1"]) == 1
+    assert capsys.readouterr() == ("", message)
 
 
 def test_catalog_matches_golden(tmp_path, capsys):
@@ -217,6 +232,24 @@ def test_larger_catalog_matches_golden(tmp_path, capsys):
                  "--out", str(out)]) == 0
     assert capsys.readouterr().out == f"records=205 path={out}\n"
     assert out.read_bytes() == LARGER_GOLDEN.read_bytes()
+
+
+def test_catalog_unwritable_out_fails_before_the_sweep(tmp_path, capsys,
+                                                       monkeypatch):
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("the sweep ran before the output was opened")
+
+    monkeypatch.setattr(census, "sweep", no_sweep)
+    out = tmp_path / "missing" / "x.jsonl"
+    assert main(["catalog", "--g-max", "1", "--n-max", "3",
+                 "--abs-i-max", "2", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write {out}")
+    assert "Traceback" not in err
+    assert main(["catalog", "--g-max", "1", "--n-max", "3",
+                 "--abs-i-max", "2", "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err.startswith(
+        f"error: cannot write {tmp_path}")
 
 
 def test_catalog_csv(tmp_path, capsys):
