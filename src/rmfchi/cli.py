@@ -197,6 +197,8 @@ def _cmd_verify_cells(args) -> int:
 def _cmd_catalog(args) -> int:
     bounds = census.SweepBounds(args.g_max, args.n_max, args.abs_i_max,
                                 args.eps)
+    if args.workers < 1:
+        raise ValueError("--workers must be >= 1")
     # The output is opened before the sweep, so a bad path fails at once.
     try:
         fh = open(args.out, "w", encoding="utf-8")

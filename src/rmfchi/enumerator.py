@@ -196,26 +196,6 @@ def _partitions_exact(total: int, parts: int, minimum: int = 1):
             yield (first,) + rest
 
 
-def _matrix_connected(mat) -> bool:
-    n_w = len(mat)
-    n_b = len(mat[0]) if mat else 0
-    seen_w, seen_b = {0}, set()
-    frontier = [(0, True)]
-    while frontier:
-        v, is_white = frontier.pop()
-        if is_white:
-            for j in range(n_b):
-                if mat[v][j] and j not in seen_b:
-                    seen_b.add(j)
-                    frontier.append((j, False))
-        else:
-            for i in range(n_w):
-                if mat[i][v] and i not in seen_w:
-                    seen_w.add(i)
-                    frontier.append((i, True))
-    return len(seen_w) == n_w and len(seen_b) == n_b
-
-
 def _is_canonical(mat, n_b: int) -> bool:
     # Canonical shape: maximal tuple-of-rows over column permutations
     # with rows sorted descending.
@@ -240,6 +220,12 @@ def _shapes(n_w: int, n_b: int, total: int, white_roots: int,
     read top-down were below column j + 1, swapping the two would raise
     the first row where they differ, and the row-sorted result would be
     larger.  :func:`_is_canonical` stays the final judge.
+
+    Connectivity is decided row by row.  The column cut keeps the used
+    columns a prefix and rows never rise, so a row after the first with
+    nothing in that prefix cuts itself and every row below it off from
+    the rows above; it is skipped.  A shape whose later rows each meet
+    the columns used above them, with no column left unused, is connected.
     """
 
     def rows_from(i: int, remaining: int, prev, ties, colsums, unit_rows,
@@ -247,19 +233,21 @@ def _shapes(n_w: int, n_b: int, total: int, white_roots: int,
         if i == n_w:
             mat = tuple(acc)
             meter.tick()
-            if (all(colsums) and _matrix_connected(mat)
-                    and _is_canonical(mat, n_b)):
+            if all(colsums) and _is_canonical(mat, n_b):
                 yield mat
             return
         # Rows come in non-increasing order, and the last row takes all
         # that remains.
         left_after = n_w - i - 1
         lowest = remaining if left_after == 0 else 1
+        used = sum(map(bool, colsums))
         for s in range(lowest, remaining - left_after + 1):
             units = unit_rows + (s == 1)
             if units + left_after < white_roots:
                 continue
             for row in _compositions_upto(s, prev, ties):
+                if i and not any(row[:used]):
+                    continue
                 sums = tuple(map(add, colsums, row))
                 if sum(c <= 1 for c in sums) < black_roots:
                     continue
@@ -613,6 +601,8 @@ def enum_nonsep_naive(t: TopType, *,
     the only clause it fails, and no other clause reads gamma, so the
     checker accepts the graph with gamma exactly when
     :func:`gamma_violations` finds nothing; that is what each trial asks.
+    In EXISTENCE mode a graph keeps the first gamma admitted, where
+    :func:`enum_nonsep` keeps the one with the smallest canonical key.
     """
     if t.variant is not Variant.NONSEP:
         raise ValueError("enum_nonsep_naive needs a non-separating type")

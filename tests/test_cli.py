@@ -252,6 +252,16 @@ def test_catalog_unwritable_out_fails_before_the_sweep(tmp_path, capsys,
         f"error: cannot write {tmp_path}")
 
 
+def test_catalog_rejects_workers_below_one(tmp_path, capsys):
+    out = tmp_path / "x.jsonl"
+    for workers in ("0", "-3"):
+        assert main(["catalog", "--g-max", "1", "--n-max", "3",
+                     "--abs-i-max", "2", "--workers", workers,
+                     "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "error: --workers must be >= 1\n"
+        assert not out.exists()
+
+
 def test_catalog_csv(tmp_path, capsys):
     out = tmp_path / "cat.csv"
     assert main(["catalog", "--g-max", "0", "--n-max", "2",

@@ -12,11 +12,16 @@ from test_acceptance import _graph_model_types
 
 from rmfchi import enumerator
 from rmfchi.decograph import (
+    Color,
+    DecoratedGraph,
+    Edge,
+    Vertex,
     ZeroIndexError,
     canonical_key,
     check_nonsep,
     check_sep,
     find_gammas,
+    strip_gamma,
 )
 from rmfchi.enumerator import (
     DEFAULT_WORK_LIMIT,
@@ -158,6 +163,16 @@ def test_bounded_compositions_are_the_filtered_ones():
                                 for j in range(slots - 1) if ties[j])]
 
 
+def _connected(mat) -> bool:
+    # the matrix as a bipartite graph, one unit edge per multiplicity
+    n_w = len(mat)
+    vertices = ((Vertex(Color.WHITE),) * n_w
+                + (Vertex(Color.BLACK),) * len(mat[0]))
+    edges = tuple(Edge(i, n_w + j, 1) for i, row in enumerate(mat)
+                  for j, m in enumerate(row) for _ in range(m))
+    return DecoratedGraph(vertices, edges).is_connected()
+
+
 def _reference_shapes(n_w: int, n_b: int, total: int):
     # Every matrix with its rows sorted descending and every column
     # covered, kept when connected and canonical, in the order the
@@ -169,7 +184,7 @@ def _reference_shapes(n_w: int, n_b: int, total: int):
     def extend(mat, remaining: int, start: int):
         if len(mat) == n_w:
             if (remaining == 0 and all(map(any, zip(*mat)))
-                    and enumerator._matrix_connected(mat)
+                    and _connected(mat)
                     and enumerator._is_canonical(mat, n_b)):
                 found.append(mat)
             return
@@ -201,10 +216,13 @@ def test_pruned_shapes_are_the_filtered_ones():
 
 def test_shape_search_stays_pruned():
     # Before rows were pruned by column order and root demand this
-    # census completed 152,311 matrices; the limit is work, not time,
-    # so a slide back to wasteful generation fails on any machine.
-    graphs = enum_nonsep(nonsep(2, 8, (1, 1)), meter=WorkMeter(limit=20_000))
+    # census completed 152,311 matrices, and it took 7,310 ticks before
+    # connectivity was decided row by row.  The limit is work, not
+    # time, so a slide back to wasteful generation fails on any machine.
+    meter = WorkMeter(limit=2_211)
+    graphs = enum_nonsep(nonsep(2, 8, (1, 1)), meter=meter)
     assert len(graphs) == 17
+    assert meter.used == 2_211
 
 
 def _unfiltered_nonsep(t, gamma_mode, involution):
@@ -297,6 +315,14 @@ def test_naive_agrees_on_nonsep():
                          enum_nonsep_naive(t, gamma_mode=mode))
         _same_census(enum_nonsep(t, involution=False),
                      enum_nonsep_naive(t, involution=False))
+        # The two routes keep different gammas for EXISTENCE, so only
+        # the underlying graphs are compared.
+        fast, naive = (census(t, gamma_mode=GammaMode.EXISTENCE,
+                              involution=False)
+                       for census in (enum_nonsep, enum_nonsep_naive))
+        assert len(fast) == len(naive)
+        assert sorted(canonical_key(strip_gamma(g)) for g in fast) \
+            == sorted(canonical_key(strip_gamma(g)) for g in naive)
 
 
 def test_naive_agrees_on_sep():
@@ -313,9 +339,8 @@ def test_naive_agrees_on_larger_sep():
 FAST_PATH_NAMES = (
     "bounds_for", "_splits", "_shapes", "_decorations", "_compositions",
     "_compositions_upto",
-    "_partitions_exact", "_weight_splits", "_matrix_connected", "_cells_of",
-    "_assemble", "_root_choices", "_vertex_invariant", "canonical_key",
-    "find_gammas",
+    "_partitions_exact", "_weight_splits", "_cells_of", "_assemble",
+    "_root_choices", "_vertex_invariant", "canonical_key", "find_gammas",
 )
 
 
