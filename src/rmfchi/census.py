@@ -16,7 +16,6 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
-from itertools import combinations_with_replacement
 
 from .enumerator import WorkLimitExceeded, WorkMeter
 from .euler import chi_compactification, chi_component
@@ -90,6 +89,23 @@ def type_sort_key(t: TopType):
             -1 if t.xi is None else t.xi)
 
 
+def _bounded_indices(values: tuple[int, ...], k: int, budget: int):
+    """Non-decreasing k-tuples from sorted ``values`` with sum(|i|) <= budget.
+
+    Every existing type of degree n has sum(|i|) <= n (see
+    :func:`~rmfchi.topotype.exists`), so with ``budget`` n this lists
+    every candidate that can exist, and only polynomially many tuples
+    where all combinations would be exponentially many in k.
+    """
+    if k == 0:
+        yield ()
+        return
+    for pos, v in enumerate(values):
+        if abs(v) <= budget:
+            for rest in _bounded_indices(values[pos:], k - 1, budget - abs(v)):
+                yield (v,) + rest
+
+
 def iter_types(bounds: SweepBounds) -> list[TopType]:
     """All existing normalized types in the box, sorted.
 
@@ -100,12 +116,13 @@ def iter_types(bounds: SweepBounds) -> list[TopType]:
     want_nonsep = bounds.eps in (None, "0")
     want_sep = bounds.eps in (None, "1")
     want_ext = bounds.eps in (None, "ext")
+    unsigned = tuple(range(bounds.abs_i_max + 1))
+    signed = tuple(range(-bounds.abs_i_max, bounds.abs_i_max + 1))
     for g in range(bounds.g_max + 1):
         for n in range(1, bounds.n_max + 1):
             if want_nonsep:
                 for k in range(0, g + 1):
-                    for idx in combinations_with_replacement(
-                            range(bounds.abs_i_max + 1), k):
+                    for idx in _bounded_indices(unsigned, k, n):
                         t = nonsep(g, n, idx)
                         if exists(t):
                             out.add(t)
@@ -113,8 +130,7 @@ def iter_types(bounds: SweepBounds) -> list[TopType]:
                 for k in range(1, g + 2):
                     if (k - (g + 1)) % 2 != 0:
                         continue
-                    values = range(-bounds.abs_i_max, bounds.abs_i_max + 1)
-                    for idx in combinations_with_replacement(values, k):
+                    for idx in _bounded_indices(signed, k, n):
                         t = sep(g, n, idx)
                         if not exists(t):
                             continue

@@ -107,11 +107,7 @@ class DecoratedGraph:
                 raise ValueError("gamma must be a permutation of the vertexes")
 
     def degrees(self) -> list[int]:
-        out = [0] * len(self.vertices)
-        for e in self.edges:
-            out[e.u] += 1
-            out[e.v] += 1
-        return out
+        return [len(at) for at in _incidence(self)]
 
     def cells(self) -> dict[tuple[int, int], tuple[int, ...]]:
         """Map (u, v) with u < v to the sorted weights of parallel edges."""
@@ -129,22 +125,17 @@ class DecoratedGraph:
                 if v.color is color and v.root]
 
     def is_connected(self) -> bool:
-        n = len(self.vertices)
-        if n == 0:
+        incident = _incidence(self)
+        if not incident:
             return False
         seen = {0}
         frontier = [0]
-        adj: dict[int, set[int]] = {i: set() for i in range(n)}
-        for e in self.edges:
-            adj[e.u].add(e.v)
-            adj[e.v].add(e.u)
         while frontier:
-            v = frontier.pop()
-            for u in adj[v]:
+            for u, _ in incident[frontier.pop()]:
                 if u not in seen:
                     seen.add(u)
                     frontier.append(u)
-        return len(seen) == n
+        return len(seen) == len(incident)
 
     def to_json_dict(self) -> dict:
         return {
@@ -189,6 +180,15 @@ class DecoratedGraph:
             lines.append(f'  v{e.u} -- v{e.v} [label="{e.weight}"];')
         lines.append("}")
         return "\n".join(lines)
+
+
+def _incidence(g: DecoratedGraph) -> list[list[tuple[int, int]]]:
+    """The one per-vertex view: (neighbor, edge weight) per incident edge."""
+    incident: list[list[tuple[int, int]]] = [[] for _ in g.vertices]
+    for e in g.edges:
+        incident[e.u].append((e.v, e.weight))
+        incident[e.v].append((e.u, e.weight))
+    return incident
 
 
 def strip_gamma(g: DecoratedGraph) -> DecoratedGraph:
@@ -286,14 +286,11 @@ def find_gammas(g: DecoratedGraph,
     of one graph differ by an automorphism.  The permutations are kept
     when :func:`gamma_violations` finds nothing, so with ``involution``
     (the default) only order-two symmetries survive.
+
+    No separate color-swap test is needed: equal headers mean equal
+    multisets of (color, vertex invariant), so the white and black
+    invariants of the graph agree.
     """
-    incident = _incidence(g)
-
-    def side(color: Color) -> list[tuple]:
-        return sorted(_invariant(g, incident, v) for v in g.ids_of(color))
-
-    if side(Color.WHITE) != side(Color.BLACK):
-        return []
     other = {Color.WHITE: Color.BLACK, Color.BLACK: Color.WHITE}
     swapped = DecoratedGraph(
         tuple(replace(v, color=other[v.color]) for v in g.vertices), g.edges)
@@ -331,13 +328,6 @@ def _common_root_violations(g: DecoratedGraph, degs: list[int]
     return out
 
 
-def _root_edge_weight(g: DecoratedGraph, v: int) -> int:
-    for e in g.edges:
-        if v in (e.u, e.v):
-            return e.weight
-    raise AssertionError("degree-1 vertex with no edge")
-
-
 def _require_graph_model(t: TopType):
     """Raise unless the type exists and has no zero index.
 
@@ -358,7 +348,8 @@ def check_nonsep(g: DecoratedGraph, t: TopType,
         raise ValueError("check_nonsep needs a non-separating type")
     _require_graph_model(t)
 
-    degs = g.degrees()
+    incident = _incidence(g)
+    degs = [len(at) for at in incident]
     out = []
     if not g.is_connected():
         out.append(Violation("connected", "the graph is not connected"))
@@ -378,7 +369,7 @@ def check_nonsep(g: DecoratedGraph, t: TopType,
                 f"root-count-{clause}",
                 f"expected {t.k} {clause} roots, found {len(roots)}"))
         elif all(degs[v] == 1 for v in roots):
-            got = tuple(sorted(_root_edge_weight(g, v) for v in roots))
+            got = tuple(sorted(incident[v][0][1] for v in roots))
             if got != want:
                 out.append(Violation(
                     f"root-weights-{clause}",
@@ -413,7 +404,8 @@ def check_sep(g: DecoratedGraph, t: TopType) -> ViolationList:
         raise ValueError("check_sep needs a separating type")
     _require_graph_model(t)
 
-    degs = g.degrees()
+    incident = _incidence(g)
+    degs = [len(at) for at in incident]
     out = []
     if not g.is_connected():
         out.append(Violation("connected", "the graph is not connected"))
@@ -434,8 +426,8 @@ def check_sep(g: DecoratedGraph, t: TopType) -> ViolationList:
     counts_ok = len(white_roots) == n_neg and len(black_roots) == n_pos
     if counts_ok and all(degs[v] == 1
                          for v in white_roots + black_roots):
-        got = sorted([-_root_edge_weight(g, v) for v in white_roots]
-                     + [_root_edge_weight(g, v) for v in black_roots])
+        got = sorted([-incident[v][0][1] for v in white_roots]
+                     + [incident[v][0][1] for v in black_roots])
         if tuple(got) != tuple(sorted(t.indices)):
             out.append(Violation(
                 "root-weights-signed",
@@ -465,15 +457,6 @@ def check_sep(g: DecoratedGraph, t: TopType) -> ViolationList:
 # canonical form
 
 
-def _incidence(g: DecoratedGraph) -> list[list[tuple[int, int]]]:
-    """Per vertex, (neighbor, edge weight) for every incident edge."""
-    incident: list[list[tuple[int, int]]] = [[] for _ in g.vertices]
-    for e in g.edges:
-        incident[e.u].append((e.v, e.weight))
-        incident[e.v].append((e.u, e.weight))
-    return incident
-
-
 def _vertex_invariant(root: bool, genus: int, weights) -> tuple:
     """Root flag, genus, degree and sorted incident edge weights.
 
@@ -485,13 +468,6 @@ def _vertex_invariant(root: bool, genus: int, weights) -> tuple:
     return (int(root), genus, len(weights), tuple(sorted(weights)))
 
 
-def _invariant(g: DecoratedGraph, incident, v: int) -> tuple:
-    """:func:`_vertex_invariant` of vertex v of g."""
-    vert = g.vertices[v]
-    return _vertex_invariant(vert.root, vert.weight,
-                             [w for _, w in incident[v]])
-
-
 def _refined_classes(g: DecoratedGraph):
     """Partition vertexes into ordered classes by iterated refinement.
 
@@ -501,8 +477,9 @@ def _refined_classes(g: DecoratedGraph):
     """
     n = len(g.vertices)
     incident = _incidence(g)
-    init = [(g.vertices[v].color.value,) + _invariant(g, incident, v)
-            for v in range(n)]
+    init = [(vert.color.value,)
+            + _vertex_invariant(vert.root, vert.weight, [w for _, w in at])
+            for vert, at in zip(g.vertices, incident)]
     order = sorted(set(init))
     rank = [order.index(key) for key in init]
     while True:

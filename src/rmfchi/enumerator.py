@@ -64,9 +64,11 @@ class WorkMeter:
             try:
                 limit = int(text)
             except ValueError:
-                raise ValueError(f"{WORK_LIMIT_ENV} must be an integer, "
-                                 f"got {text!r}") from None
-        if limit < 1:
+                limit = 0
+            if limit < 1:
+                raise ValueError(f"{WORK_LIMIT_ENV} must be an integer >= 1, "
+                                 f"got {text!r}")
+        elif limit < 1:
             raise ValueError("work limit must be >= 1")
         self.limit = limit
         self.used = 0

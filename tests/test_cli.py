@@ -18,6 +18,8 @@ LARGER_GOLDEN = (pathlib.Path(__file__).parent / "golden"
                  / "catalog_g3_n6_i3.jsonl")
 SEP_GRAPHS_GOLDEN = (pathlib.Path(__file__).parent / "golden"
                      / "graphs_sep.jsonl")
+HIGH_GENUS_GOLDEN = (pathlib.Path(__file__).parent / "golden"
+                     / "catalog_g20_n3_i3.jsonl")
 
 
 def test_validate(capsys):
@@ -234,6 +236,19 @@ def test_larger_catalog_matches_golden(tmp_path, capsys):
     assert out.read_bytes() == LARGER_GOLDEN.read_bytes()
 
 
+def test_high_genus_catalog_matches_golden(tmp_path):
+    # Up to g + 1 indices per type: listing the candidates must stay
+    # polynomial in g, or this box takes minutes instead of a second.
+    out = tmp_path / "cat.jsonl"
+    proc = subprocess.run(
+        [sys.executable, "-m", "rmfchi", "catalog", "--g-max", "20",
+         "--n-max", "3", "--abs-i-max", "3", "--out", str(out)],
+        capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0
+    assert proc.stdout == f"records=636 path={out}\n"
+    assert out.read_bytes() == HIGH_GENUS_GOLDEN.read_bytes()
+
+
 def test_catalog_unwritable_out_fails_before_the_sweep(tmp_path, capsys,
                                                        monkeypatch):
     def no_sweep(*args, **kwargs):
@@ -285,10 +300,11 @@ def test_exit_codes(capsys, monkeypatch):
 
 
 def test_bad_work_limit_names_the_variable(capsys, monkeypatch):
-    monkeypatch.setenv("RMF_WORK_LIMIT", "lots")
-    assert main(["chi-n", "2,5,0|1"]) == 1
-    err = capsys.readouterr().err
-    assert "RMF_WORK_LIMIT" in err and "'lots'" in err
+    for text in ("lots", "0", "-5"):
+        monkeypatch.setenv("RMF_WORK_LIMIT", text)
+        assert main(["chi-n", "2,5,0|1"]) == 1
+        err = capsys.readouterr().err
+        assert "RMF_WORK_LIMIT" in err and repr(text) in err
 
 
 def test_module_entry_point():

@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 from itertools import permutations
 
 import pytest
 
+from rmfchi import decograph
 from rmfchi.decograph import (
     Color,
     DecoratedGraph,
@@ -137,20 +139,39 @@ def _gammas_by_brute_force(g, involution):
     return sorted(found)
 
 
-def test_find_gammas_equals_brute_force():
+def _color_swapped(g):
+    other = {W: B, B: W}
+    return DecoratedGraph(
+        tuple(replace(v, color=other[v.color]) for v in g.vertices), g.edges)
+
+
+def test_find_gammas_equals_brute_force(monkeypatch):
     # Every plain class of a few small types, with and without gammas,
     # in both conventions: the canonical search must find every
-    # admissible gamma, not just the first.
-    nonempty = empty = 0
+    # admissible gamma, not just the first.  A graph that is not
+    # isomorphic to its color-swapped copy is rejected on the search
+    # headers and rows, before any candidate permutation is tested.
+    tested = []
+
+    def counting(g, gamma, involution=True):
+        tested.append(gamma)
+        return gamma_violations(g, gamma, involution)
+
+    monkeypatch.setattr(decograph, "gamma_violations", counting)
+    nonempty = empty = unmirrored = 0
     for text in ("1,4,0|", "2,5,0|1", "2,6,0|2"):
         t = parse_type(text)
         for _, g in _plain_classes(bounds_for(t), WorkMeter()):
+            mirrored = canonical_key(_color_swapped(g)) == canonical_key(g)
+            unmirrored += not mirrored
             for involution in (True, False):
                 want = _gammas_by_brute_force(g, involution)
+                tested.clear()
                 assert find_gammas(g, involution) == want
+                assert mirrored or not tested
                 nonempty += bool(want)
                 empty += not want
-    assert nonempty > 0 and empty > 0
+    assert nonempty > 0 and empty > 0 and unmirrored > 0
 
 
 def test_tampered_graphs_name_their_violations():
@@ -178,6 +199,13 @@ def test_tampered_graphs_name_their_violations():
                                 (Edge(0, 1, 2), Edge(1, 2, 2), Edge(2, 3, 1)),
                                 g.gamma)
     assert "root-weights-white" in check_nonsep(reweighted, t).clauses
+
+    reweighted = DecoratedGraph(g.vertices,
+                                (Edge(0, 1, 1), Edge(1, 2, 2), Edge(2, 3, 2)),
+                                g.gamma)
+    report = check_nonsep(reweighted, t)
+    assert "root-weights-black" in report.clauses
+    assert "root-weights-white" not in report.clauses
 
     split = DecoratedGraph((Vertex(W), Vertex(B), Vertex(W), Vertex(B)),
                            (Edge(0, 1, 2), Edge(2, 3, 2)), (1, 0, 3, 2))
@@ -291,10 +319,20 @@ def test_cells_and_roots():
     assert g.is_connected()
 
 
+def test_empty_and_isolated_graphs_are_not_connected():
+    assert not DecoratedGraph((), ()).is_connected()
+    isolated = DecoratedGraph((Vertex(W), Vertex(B), Vertex(W)),
+                              (Edge(0, 1, 2),))
+    assert isolated.degrees() == [1, 1, 0]
+    assert not isolated.is_connected()
+    assert DecoratedGraph((Vertex(W),), ()).is_connected()
+
+
 def test_multi_edge_cells_sorted():
     g = DecoratedGraph((Vertex(W), Vertex(B)),
                        (Edge(0, 1, 3), Edge(1, 0, 1), Edge(0, 1, 3)))
     assert g.cells() == {(0, 1): (1, 3, 3)}
+    assert g.degrees() == [3, 3]
     # two odd threes pair up under the swap; the single one cannot
     assert find_gammas(g) == []
     even = DecoratedGraph((Vertex(W), Vertex(B)),
