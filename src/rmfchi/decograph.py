@@ -13,7 +13,7 @@ The checkers validate a graph against a topological type clause by
 clause, and :func:`canonical_key` gives a complete isomorphism invariant
 used for deduplication.  :func:`find_gammas` reads the symmetries off
 the same canonical search, run on the graph and on its color-swapped
-copy.
+copy, and ``_gamma_classes`` keys them from the graph's own search.
 """
 
 from __future__ import annotations
@@ -125,17 +125,7 @@ class DecoratedGraph:
                 if v.color is color and v.root]
 
     def is_connected(self) -> bool:
-        incident = _incidence(self)
-        if not incident:
-            return False
-        seen = {0}
-        frontier = [0]
-        while frontier:
-            for u, _ in incident[frontier.pop()]:
-                if u not in seen:
-                    seen.add(u)
-                    frontier.append(u)
-        return len(seen) == len(incident)
+        return _connected(_incidence(self))
 
     def to_json_dict(self) -> dict:
         return {
@@ -189,6 +179,20 @@ def _incidence(g: DecoratedGraph) -> list[list[tuple[int, int]]]:
         incident[e.u].append((e.v, e.weight))
         incident[e.v].append((e.u, e.weight))
     return incident
+
+
+def _connected(incident: list[list[tuple[int, int]]]) -> bool:
+    """The one graph search for connectivity, over a built incidence."""
+    if not incident:
+        return False
+    seen = {0}
+    frontier = [0]
+    while frontier:
+        for u, _ in incident[frontier.pop()]:
+            if u not in seen:
+                seen.add(u)
+                frontier.append(u)
+    return len(seen) == len(incident)
 
 
 def strip_gamma(g: DecoratedGraph) -> DecoratedGraph:
@@ -273,6 +277,26 @@ def gamma_violations(g: DecoratedGraph, gamma: tuple[int, ...],
     return out
 
 
+def _matched_gammas(g: DecoratedGraph, searched,
+                    involution: bool) -> list[tuple[int, ...]]:
+    """:func:`find_gammas`, given the result of ``_search(g)``."""
+    other = {Color.WHITE: Color.BLACK, Color.BLACK: Color.WHITE}
+    swapped = DecoratedGraph(
+        tuple(replace(v, color=other[v.color]) for v in g.vertices), g.edges)
+    header, rows, orders = searched
+    swapped_header, swapped_rows, matches = _search(swapped)
+    if (header, rows) != (swapped_header, swapped_rows):
+        return []
+    results = []
+    for match in matches:
+        perm = [0] * len(g.vertices)
+        for v, image in zip(orders[0], match):
+            perm[v] = image
+        if not gamma_violations(g, perm, involution):
+            results.append(tuple(perm))
+    return sorted(results)
+
+
 def find_gammas(g: DecoratedGraph,
                 involution: bool = True) -> list[tuple[int, ...]]:
     """All admissible color-swapping symmetries, sorted.
@@ -291,21 +315,21 @@ def find_gammas(g: DecoratedGraph,
     multisets of (color, vertex invariant), so the white and black
     invariants of the graph agree.
     """
-    other = {Color.WHITE: Color.BLACK, Color.BLACK: Color.WHITE}
-    swapped = DecoratedGraph(
-        tuple(replace(v, color=other[v.color]) for v in g.vertices), g.edges)
-    header, rows, orders = _search(g)
-    swapped_header, swapped_rows, matches = _search(swapped)
-    if (header, rows) != (swapped_header, swapped_rows):
-        return []
-    results = []
-    for match in matches:
-        perm = [0] * len(g.vertices)
-        for v, image in zip(orders[0], match):
-            perm[v] = image
-        if not gamma_violations(g, perm, involution):
-            results.append(tuple(perm))
-    return sorted(results)
+    return _matched_gammas(g, _search(g), involution)
+
+
+def _gamma_classes(g: DecoratedGraph,
+                   involution: bool) -> dict[bytes, DecoratedGraph]:
+    """The admissible gammas of a gamma-less graph, up to conjugacy.
+
+    Maps each class's canonical key to g carrying its smallest gamma.
+    The one search of g that finds the gammas also keys them.
+    """
+    searched = _search(g)
+    classes: dict[bytes, DecoratedGraph] = {}
+    for gamma in _matched_gammas(g, searched, involution):
+        classes.setdefault(_encode(searched, gamma), replace(g, gamma=gamma))
+    return classes
 
 
 # ---------------------------------------------------------------------------
@@ -351,7 +375,7 @@ def check_nonsep(g: DecoratedGraph, t: TopType,
     incident = _incidence(g)
     degs = [len(at) for at in incident]
     out = []
-    if not g.is_connected():
+    if not _connected(incident):
         out.append(Violation("connected", "the graph is not connected"))
     whites = g.ids_of(Color.WHITE)
     blacks = g.ids_of(Color.BLACK)
@@ -407,7 +431,7 @@ def check_sep(g: DecoratedGraph, t: TopType) -> ViolationList:
     incident = _incidence(g)
     degs = [len(at) for at in incident]
     out = []
-    if not g.is_connected():
+    if not _connected(incident):
         out.append(Violation("connected", "the graph is not connected"))
     out.extend(_common_root_violations(g, degs))
 
@@ -545,6 +569,19 @@ def _search(g: DecoratedGraph):
     return header, best, orders
 
 
+def _encode(searched, gamma) -> bytes:
+    """The canonical key of a graph from its ``_search`` and its gamma."""
+    header, rows, orders = searched
+    gamma_part = None
+    if gamma:  # the empty graph's gamma () encodes as None
+        images = []
+        for cand in orders:
+            pos = {v: i for i, v in enumerate(cand)}
+            images.append(tuple(pos[gamma[v]] for v in cand))
+        gamma_part = min(images)
+    return repr((header, tuple(rows), gamma_part)).encode()
+
+
 def canonical_key(g: DecoratedGraph) -> bytes:
     """Complete isomorphism invariant of a decorated graph.
 
@@ -553,15 +590,7 @@ def canonical_key(g: DecoratedGraph) -> bytes:
     is the minimal serialized encoding over all admissible vertex
     orders, with gamma folded in as a tie-break after the adjacency.
     """
-    header, rows, orders = _search(g)
-    gamma_part = None
-    if g.gamma:  # the empty graph's gamma () encodes as None
-        images = []
-        for cand in orders:
-            pos = {v: i for i, v in enumerate(cand)}
-            images.append(tuple(pos[g.gamma[v]] for v in cand))
-        gamma_part = min(images)
-    return repr((header, tuple(rows), gamma_part)).encode()
+    return _encode(_search(g), g.gamma)
 
 
 def are_isomorphic(a: DecoratedGraph, b: DecoratedGraph) -> bool:

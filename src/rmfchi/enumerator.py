@@ -4,8 +4,8 @@ Two paths compute the same census.  The fast path builds bipartite
 multigraph shapes in a canonical form (maximal matrix under row and
 column permutations), decorates them, and deduplicates with
 :func:`rmfchi.decograph.canonical_key`; one loop serves both variants,
-and non-separating graphs then get their symmetries from
-:func:`rmfchi.decograph.find_gammas`.  The naive path works from the
+and non-separating classes then get one gamma per conjugacy class from
+:func:`rmfchi.decograph._gamma_classes`.  The naive path works from the
 definitions: it lists labeled cores, hangs the roots off them in every
 way, tries every color-swapping bijection as gamma, keeps what the
 checkers accept, and buckets the survivors by exhausting relabelings.
@@ -31,12 +31,13 @@ from .decograph import (
     DecoratedGraph,
     Edge,
     Vertex,
+    _gamma_classes,
     _require_graph_model,
     _vertex_invariant,
     canonical_key,
     check_nonsep,
     check_sep,
-    find_gammas,
+    find_gammas,  # not called here; censusbench/tracer.py rebinds it
     gamma_violations,
     relabel,
     strip_gamma,
@@ -453,13 +454,11 @@ def enum_nonsep(t: TopType, *, gamma_mode: GammaMode = GammaMode.AS_DATA,
     bounds = bounds_for(t)
     found: dict[bytes, DecoratedGraph] = {}
     for _, plain in _plain_classes(bounds, meter, swappable=True):
-        for gam in find_gammas(plain, involution):
-            g = replace(plain, gamma=gam)
-            found.setdefault(canonical_key(g), g)
-    graphs = [g for _, g in sorted(found.items())]
-    if gamma_mode is GammaMode.EXISTENCE:
-        graphs = _existence_projection(graphs)
-    return _checked(t, graphs, involution)
+        classes = _gamma_classes(plain, involution)
+        if gamma_mode is GammaMode.EXISTENCE:
+            classes = {key: classes[key] for key in sorted(classes)[:1]}
+        found.update(classes)
+    return _checked(t, [g for _, g in sorted(found.items())], involution)
 
 
 def enum_sep(t: TopType, *, allow_full_degree: bool = False,

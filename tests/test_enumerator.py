@@ -10,7 +10,7 @@ from itertools import product
 import pytest
 from test_acceptance import _graph_model_types
 
-from rmfchi import enumerator
+from rmfchi import decograph, enumerator
 from rmfchi.decograph import (
     Color,
     DecoratedGraph,
@@ -244,7 +244,7 @@ def test_swap_filter_changes_nothing():
     # same representatives, byte for byte, in the same order.
     conventions = ((GammaMode.AS_DATA, True), (GammaMode.EXISTENCE, True),
                    (GammaMode.AS_DATA, False))
-    for text in ("1,4,0|", "2,5,0|1", "2,6,0|2", "3,6,0|"):
+    for text in ("1,4,0|", "2,5,0|1", "2,6,0|2", "3,6,0|", "3,7,0|1,1,1"):
         t = parse_type(text)
         for gamma_mode, involution in conventions:
             want = _unfiltered_nonsep(t, gamma_mode, involution)
@@ -258,7 +258,9 @@ def test_swap_filter_changes_nothing():
 def test_nonsep_keys_only_swappable_decorations(monkeypatch):
     # Before decorations were filtered by vertex invariants this census
     # keyed 8,397 decorations; the count is work, not time, so a slide
-    # back to keying every decoration fails on any machine.
+    # back to keying every decoration fails on any machine.  The
+    # enumerator keys decorations only: graphs with gamma are keyed
+    # inside decograph, from the search that found their gammas.
     calls = []
 
     def counted(g):
@@ -267,7 +269,26 @@ def test_nonsep_keys_only_swappable_decorations(monkeypatch):
 
     monkeypatch.setattr(enumerator, "canonical_key", counted)
     assert len(enum_nonsep(nonsep(3, 7, (1,)))) == 31
-    assert len(calls) == 227
+    assert len(calls) == 195
+    assert all(g.gamma is None for g in calls)
+
+
+def test_nonsep_searches_each_class_a_fixed_number_of_times(monkeypatch):
+    # Each swappable plain class is searched three times: once to key
+    # it, then once more with its color-swapped copy to find all its
+    # gammas and key them.  When every gamma was keyed by a search of
+    # its own, this census (up to 36 gammas per class) ran 164.
+    calls = []
+    search = decograph._search
+
+    def counted(g):
+        calls.append(g)
+        return search(g)
+
+    monkeypatch.setattr(decograph, "_search", counted)
+    assert len(enum_nonsep(nonsep(3, 7, (1, 1, 1)), involution=False)) \
+        == 13
+    assert len(calls) == 48
 
 
 def test_work_meter(monkeypatch):
@@ -341,6 +362,7 @@ FAST_PATH_NAMES = (
     "_compositions_upto",
     "_partitions_exact", "_weight_splits", "_cells_of", "_assemble",
     "_root_choices", "_vertex_invariant", "canonical_key", "find_gammas",
+    "_gamma_classes",
 )
 
 
