@@ -326,9 +326,11 @@ def _gamma_classes(g: DecoratedGraph,
     The one search of g that finds the gammas also keys them.
     """
     searched = _search(g)
+    positions = _positions(searched[2])
     classes: dict[bytes, DecoratedGraph] = {}
     for gamma in _matched_gammas(g, searched, involution):
-        classes.setdefault(_encode(searched, gamma), replace(g, gamma=gamma))
+        classes.setdefault(_encode(searched, gamma, positions),
+                           replace(g, gamma=gamma))
     return classes
 
 
@@ -569,16 +571,30 @@ def _search(g: DecoratedGraph):
     return header, best, orders
 
 
-def _encode(searched, gamma) -> bytes:
-    """The canonical key of a graph from its ``_search`` and its gamma."""
+def _positions(orders) -> list[list[int]]:
+    """For each vertex order, the position of every vertex in it."""
+    out = []
+    for cand in orders:
+        pos = [0] * len(cand)
+        for i, v in enumerate(cand):
+            pos[v] = i
+        out.append(pos)
+    return out
+
+
+def _encode(searched, gamma, positions=None) -> bytes:
+    """The canonical key of a graph from its ``_search`` and its gamma.
+
+    ``positions`` is :func:`_positions` of the search's orders, passed
+    by callers that key several gammas from one search.
+    """
     header, rows, orders = searched
     gamma_part = None
     if gamma:  # the empty graph's gamma () encodes as None
-        images = []
-        for cand in orders:
-            pos = {v: i for i, v in enumerate(cand)}
-            images.append(tuple(pos[gamma[v]] for v in cand))
-        gamma_part = min(images)
+        if positions is None:
+            positions = _positions(orders)
+        gamma_part = min(tuple([pos[gamma[v]] for v in cand])
+                         for cand, pos in zip(orders, positions))
     return repr((header, tuple(rows), gamma_part)).encode()
 
 

@@ -21,6 +21,7 @@ runaway inputs fail fast instead of hanging.
 from __future__ import annotations
 
 import os
+from bisect import bisect_right
 from dataclasses import dataclass, replace
 from enum import Enum
 from itertools import combinations, permutations, product
@@ -157,6 +158,40 @@ def _compositions(total: int, slots: int):
             yield (first,) + rest
 
 
+def _paired_compositions(total: int, white_groups, black_groups):
+    """Compositions of ``total`` whose two colors agree group by group.
+
+    The parts fill the white slots, then the black ones, and each slot
+    belongs to a group.  A composition is kept when, in every group,
+    the white and black parts agree as multisets.  Then the whites take
+    half the total, and every white composition of that half is kept
+    with each distinct way to lay its parts on the black slots of the
+    same groups.  Taking both in increasing order gives the order of
+    :func:`_compositions`.
+    """
+    if total % 2 or sorted(white_groups) != sorted(black_groups):
+        return
+    pool: dict = {}  # group -> white parts not yet laid on a black slot
+
+    def black(j: int):
+        if j == len(black_groups):
+            yield ()
+            return
+        parts = pool[black_groups[j]]
+        for part in sorted(set(parts)):
+            parts.remove(part)
+            for rest in black(j + 1):
+                yield (part,) + rest
+            parts.append(part)
+
+    for white in _compositions(total // 2, len(white_groups)):
+        pool.clear()
+        for group, part in zip(white_groups, white):
+            pool.setdefault(group, []).append(part)
+        for rest in black(0):
+            yield white + rest
+
+
 def _compositions_upto(total: int, cap: tuple[int, ...],
                        ties: tuple[bool, ...]):
     """Compositions of ``total`` into ``len(cap)`` parts for one shape row.
@@ -199,19 +234,64 @@ def _partitions_exact(total: int, parts: int, minimum: int = 1):
             yield (first,) + rest
 
 
-def _is_canonical(mat, n_b: int) -> bool:
-    # Canonical shape: maximal tuple-of-rows over column permutations
-    # with rows sorted descending.
-    for colp in permutations(range(n_b)):
-        rows = sorted((tuple(row[j] for j in colp) for row in mat),
-                      reverse=True)
-        if tuple(rows) > mat:
+def _is_canonical(mat) -> bool:
+    """Whether no row and column order makes the matrix larger.
+
+    ``mat`` has its rows sorted descending.  Rows are placed one at a
+    time.  The column orders that keep every placed row equal to the
+    matrix's own row form an ordered partition of the columns into
+    blocks, and the largest row they allow sorts each block descending.
+    A remaining row whose largest form beats the next row of the matrix
+    shows a larger matrix; one that falls short is dropped; one that
+    ties splits each block by its values and the search goes on.  Equal
+    rows give equal branches, so each is tried once.
+    """
+
+    def rec(r: int, rest, blocks) -> bool:
+        target = mat[r]
+        for k, row in enumerate(rest):
+            if k and row == rest[k - 1]:
+                continue
+            best = tuple(v for block in blocks
+                         for v in sorted([row[c] for c in block],
+                                         reverse=True))
+            if best > target:
+                return False
+            if best == target and r + 1 < len(mat):
+                split = [[c for c in block if row[c] == v]
+                         for block in blocks
+                         for v in sorted({row[c] for c in block},
+                                         reverse=True)]
+                if not rec(r + 1, rest[:k] + rest[k + 1:], split):
+                    return False
+        return True
+
+    return rec(0, mat, [list(range(len(mat[0])))])
+
+
+def _degrees_can_pair(row_sums, colsums, spare: int) -> bool:
+    """Whether the column sums can still end up equal to the row sums.
+
+    A placed row's sum is final, and column sums only grow, by ``spare``
+    in all.  So every row sum needs a column of its own whose sum is no
+    larger now, and the shortfalls must fit in ``spare``.  Taking the
+    rows largest first, each with the largest column sum it allows,
+    leaves the smallest shortfall.  When every row of a square matrix
+    is placed and nothing is spare, this is the test that the two
+    multisets are equal.
+    """
+    free = sorted(colsums)
+    short = 0
+    for r in sorted(row_sums, reverse=True):
+        k = bisect_right(free, r) - 1
+        if k < 0:
             return False
-    return True
+        short += r - free.pop(k)
+    return short <= spare
 
 
 def _shapes(n_w: int, n_b: int, total: int, white_roots: int,
-            black_roots: int, meter: WorkMeter):
+            black_roots: int, meter: WorkMeter, swappable: bool = False):
     """Canonical connected multigraph shapes as multiplicity matrices.
 
     Only shapes with room for the roots are kept: every root is a
@@ -229,14 +309,21 @@ def _shapes(n_w: int, n_b: int, total: int, white_roots: int,
     nothing in that prefix cuts itself and every row below it off from
     the rows above; it is skipped.  A shape whose later rows each meet
     the columns used above them, with no column left unused, is connected.
+
+    With ``swappable``, only shapes whose row sums and column sums, the
+    degrees of the two colors, agree as multisets: the shapes that can
+    carry a color-swapping gamma.  Such a shape is square, and each
+    partial matrix is cut by :func:`_degrees_can_pair`, which at the
+    last row is that test; a matrix that fails is not counted or tested
+    for canonicity.
     """
 
-    def rows_from(i: int, remaining: int, prev, ties, colsums, unit_rows,
+    def rows_from(i: int, remaining: int, prev, ties, colsums, row_sums,
                   acc):
         if i == n_w:
             mat = tuple(acc)
             meter.tick()
-            if all(colsums) and _is_canonical(mat, n_b):
+            if all(colsums) and _is_canonical(mat):
                 yield mat
             return
         # Rows come in non-increasing order, and the last row takes all
@@ -245,8 +332,7 @@ def _shapes(n_w: int, n_b: int, total: int, white_roots: int,
         lowest = remaining if left_after == 0 else 1
         used = sum(map(bool, colsums))
         for s in range(lowest, remaining - left_after + 1):
-            units = unit_rows + (s == 1)
-            if units + left_after < white_roots:
+            if row_sums.count(1) + (s == 1) + left_after < white_roots:
                 continue
             for row in _compositions_upto(s, prev, ties):
                 if i and not any(row[:used]):
@@ -254,15 +340,18 @@ def _shapes(n_w: int, n_b: int, total: int, white_roots: int,
                 sums = tuple(map(add, colsums, row))
                 if sum(c <= 1 for c in sums) < black_roots:
                     continue
+                if swappable and not _degrees_can_pair(
+                        row_sums + (s,), sums, remaining - s):
+                    continue
                 still_tied = tuple(t and a == b
                                    for t, a, b in zip(ties, row, row[1:]))
                 yield from rows_from(i + 1, remaining - s, row, still_tied,
-                                     sums, units, acc + [row])
+                                     sums, row_sums + (s,), acc + [row])
 
     # The first row has no row above it: a cap of ``total`` in every
     # column admits any row, and every column pair starts tied.
     yield from rows_from(0, total, (total,) * n_b, (True,) * (n_b - 1),
-                         (0,) * n_b, 0, [])
+                         (0,) * n_b, (), [])
 
 
 def _cells_of(mat):
@@ -314,21 +403,22 @@ def _decorations(mat, bounds: EnumerationBounds, meter: WorkMeter,
 
     With ``swappable``, only those whose white and black vertex
     invariants agree as multisets, the graphs that can carry a
-    color-swapping gamma.  The test runs at three depths: the shape is
-    dropped when its row and column sums, the degrees of the two colors,
-    differ as multisets; a weight split and root choice when the
-    invariants already differ with every genus read as 0; and a genus
-    composition when the full invariants differ.  Each test is an
-    isomorphism invariant, so it drops whole classes, and every kept
-    class is still first reached by the same decoration.
+    color-swapping gamma; :func:`_shapes` has already dropped the shapes
+    whose two colors have different degrees.  The bounds are balanced,
+    so the roots of the two colors carry the same weights, and the
+    genus compositions generated are those that give the non-root
+    vertexes of the two colors with each genus-free invariant the same
+    genera (there are none when one color has more of them).
+    Each test is an isomorphism invariant, so it drops whole classes,
+    and every kept class is first reached by the same decoration as
+    without the tests.
     """
-    if swappable and sorted(map(sum, mat)) != sorted(map(sum, zip(*mat))):
-        return
     n_w, n_b = len(mat), len(mat[0])
     whites, blacks = range(n_w), range(n_w, n_w + n_b)
     cells = _cells_of(mat)
     mults = [m for _, _, m in cells]
     cycle_rank = sum(mults) - n_w - n_b + 1
+    spare = bounds.genus_budget - cycle_rank
     cells_at = [[] for _ in range(n_w + n_b)]
     for idx, (i, j, _) in enumerate(cells):
         cells_at[i].append(idx)
@@ -338,28 +428,23 @@ def _decorations(mat, bounds: EnumerationBounds, meter: WorkMeter,
         meter.tick()
         incident = [[w for idx in at for w in weights[idx]]
                     for at in cells_at]
-
-        def sides_agree(roots, genus) -> bool:
-            def side(vertexes) -> list[tuple]:
-                return sorted(_vertex_invariant(v in roots, genus.get(v, 0),
-                                                incident[v])
-                              for v in vertexes)
-            return side(whites) == side(blacks)
-
         for white_roots, black_roots in product(
                 _root_choices(whites, incident, bounds.white_root_weights),
                 _root_choices(blacks, incident, bounds.black_root_weights)):
             roots = white_roots | black_roots
-            if swappable and not sides_agree(roots, {}):
-                continue
             free = [v for v in range(n_w + n_b) if v not in roots]
-            for comp in _compositions(bounds.genus_budget - cycle_rank,
-                                      len(free)):
+            if swappable:
+                kinds = [_vertex_invariant(False, 0, incident[v])
+                         for v in free]
+                split = n_w - len(white_roots)
+                comps = _paired_compositions(spare, kinds[:split],
+                                             kinds[split:])
+            else:
+                comps = _compositions(spare, len(free))
+            for comp in comps:
                 meter.tick()
-                genus = dict(zip(free, comp))
-                if swappable and not sides_agree(roots, genus):
-                    continue
-                yield _assemble(n_w, n_b, cells, weights, roots, genus)
+                yield _assemble(n_w, n_b, cells, weights, roots,
+                                dict(zip(free, comp)))
 
 
 def _splits(total_vertices: int, bounds: EnumerationBounds):
@@ -392,7 +477,8 @@ def _plain_classes(bounds: EnumerationBounds, meter: WorkMeter,
             for n_w, n_b in _splits(n_edges + 1 - cycle_rank, bounds):
                 for mat in _shapes(n_w, n_b, n_edges,
                                    len(bounds.white_root_weights),
-                                   len(bounds.black_root_weights), meter):
+                                   len(bounds.black_root_weights), meter,
+                                   swappable):
                     for plain in _decorations(mat, bounds, meter, swappable):
                         key = canonical_key(plain)
                         if key not in seen:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import io
+import json
 import pathlib
 
 import pytest
@@ -18,7 +19,13 @@ from rmfchi.census import (
     write_csv,
     write_jsonl,
 )
-from rmfchi.topotype import Variant, format_type, is_normal, nonsep
+from rmfchi.topotype import (
+    Variant,
+    format_type,
+    is_normal,
+    nonsep,
+    parse_type,
+)
 
 GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
 GOLDEN = GOLDEN_DIR / "catalog_g1_n3_i2.jsonl"
@@ -39,6 +46,41 @@ def test_small_catalog_matches_golden_file():
 def test_larger_catalog_matches_golden_file():
     records = sweep(SweepBounds(g_max=3, n_max=6, abs_i_max=3), workers=2)
     assert _jsonl(records).encode() == LARGER_GOLDEN.read_bytes()
+
+
+def test_chi_n_is_one_when_the_core_carries_weight_two():
+    """Every non-separating type with no zero index and sum(i) = n - 2
+    has chi(N) = 1.
+
+    Each root edge carries its whole index, so the roots take 2 sum(i)
+    of the edge weight n + sum(i) and the core (the graph without its
+    roots) carries weight 2.  gamma swaps the colors and the roots come
+    in equal numbers per color, so the core is balanced; connected, with
+    at most two edges, it is a single white-black pair, joined by one
+    edge of weight 2 or by a double edge (1, 1).  gamma swaps the pair,
+    so its two genera are equal, and the parity of g - k fixes the edge:
+    one edge when g - k is even, two when it is odd.  Every root hangs
+    off the one core vertex of the other color, so the graph is unique.
+    An admissible involution swaps the pair and pairs each white root
+    with a black root of the same index; two such pairings differ by a
+    permutation of the black roots of equal index, an automorphism, so
+    all admissible involutions are conjugate and the census is one
+    graph.
+    """
+    for name, family in (("catalog_g4_n8_i3", 51), ("catalog_g20_n3_i3", 41),
+                         ("catalog_g5_n9_i3", 85)):
+        chi_n = {}
+        for line in (GOLDEN_DIR / f"{name}.jsonl").read_text().splitlines():
+            record = json.loads(line)
+            t = parse_type(record["type"])
+            if (t.variant is Variant.NONSEP and 0 not in t.indices
+                    and sum(t.indices) == t.n - 2):
+                chi_n[record["type"]] = record["chi_n"]
+        assert len(chi_n) == family
+        assert set(chi_n.values()) == {1}, chi_n
+        if name == "catalog_g4_n8_i3":
+            assert all(record_for(parse_type(text)).chi_n == 1
+                       for text in chi_n)
 
 
 def test_worker_count_does_not_change_output():

@@ -4,8 +4,9 @@ from __future__ import annotations
 
 import subprocess
 import sys
+from collections import Counter
 from dataclasses import replace
-from itertools import product
+from itertools import combinations_with_replacement, permutations, product
 
 import pytest
 from test_acceptance import _graph_model_types
@@ -163,6 +164,57 @@ def test_bounded_compositions_are_the_filtered_ones():
                                 for j in range(slots - 1) if ties[j])]
 
 
+def test_paired_compositions_are_the_filtered_ones():
+    # Every pattern of up to three white and three black slots over two
+    # groups, the empty and single-slot ones included: the compositions
+    # whose two colors agree as multisets in every group, in the order
+    # _compositions yields them.
+    def paired(comp, white_groups, black_groups) -> bool:
+        balance = Counter(zip(white_groups, comp))
+        balance.subtract(zip(black_groups, comp[len(white_groups):]))
+        return not any(balance.values())
+
+    patterns = [groups for n in range(4)
+                for groups in product(range(2), repeat=n)]
+    kept = 0
+    for white_groups, black_groups in product(patterns, repeat=2):
+        slots = len(white_groups) + len(black_groups)
+        for total in range(-1, 7):
+            got = list(enumerator._paired_compositions(
+                total, white_groups, black_groups))
+            assert got == [
+                comp for comp in enumerator._compositions(total, slots)
+                if paired(comp, white_groups, black_groups)]
+            kept += len(got)
+    assert kept
+
+
+def _canonical_by_column_orders(mat, n_b: int) -> bool:
+    # The definition: no column order, with the rows sorted again,
+    # gives a larger matrix.
+    for colp in permutations(range(n_b)):
+        rows = sorted((tuple(row[j] for j in colp) for row in mat),
+                      reverse=True)
+        if tuple(rows) > mat:
+            return False
+    return True
+
+
+def test_canonicity_matches_column_orders():
+    # Every matrix up to 4 x 4 with entries <= 2, rows sorted descending
+    # and entry sum <= 8, canonical or not.
+    checked = 0
+    for n_b in range(1, 5):
+        rows = sorted(product(range(3), repeat=n_b), reverse=True)
+        for n_w in range(1, 5):
+            for mat in combinations_with_replacement(rows, n_w):
+                if sum(map(sum, mat)) <= 8:
+                    checked += 1
+                    assert enumerator._is_canonical(mat) \
+                        == _canonical_by_column_orders(mat, n_b), mat
+    assert checked == 39_897
+
+
 def _connected(mat) -> bool:
     # the matrix as a bipartite graph, one unit edge per multiplicity
     n_w = len(mat)
@@ -185,7 +237,7 @@ def _reference_shapes(n_w: int, n_b: int, total: int):
         if len(mat) == n_w:
             if (remaining == 0 and all(map(any, zip(*mat)))
                     and _connected(mat)
-                    and enumerator._is_canonical(mat, n_b)):
+                    and _canonical_by_column_orders(mat, n_b)):
                 found.append(mat)
             return
         for k in range(start, len(rows)):
@@ -198,7 +250,10 @@ def _reference_shapes(n_w: int, n_b: int, total: int):
 
 def test_pruned_shapes_are_the_filtered_ones():
     # Pruning partial matrices by column order and root demand must
-    # keep exactly the shapes with enough degree-1 rows and columns.
+    # keep exactly the shapes with enough degree-1 rows and columns;
+    # with swappable, exactly those whose row and column sums agree as
+    # multisets, in the same order (the census asks it of square shapes
+    # only, since non-separating splits are even).
     for n_w in range(1, 5):
         for n_b in range(1, 5):
             for total in range(1, 9):
@@ -212,17 +267,26 @@ def test_pruned_shapes_are_the_filtered_ones():
                     assert list(enumerator._shapes(
                         n_w, n_b, total, white_roots, black_roots,
                         WorkMeter())) == expected
+                    if n_w == n_b:
+                        assert list(enumerator._shapes(
+                            n_w, n_b, total, white_roots, black_roots,
+                            WorkMeter(), swappable=True)) == [
+                            mat for mat in expected
+                            if sorted(map(sum, mat))
+                            == sorted(map(sum, zip(*mat)))]
 
 
 def test_shape_search_stays_pruned():
     # Before rows were pruned by column order and root demand this
-    # census completed 152,311 matrices, and it took 7,310 ticks before
-    # connectivity was decided row by row.  The limit is work, not
-    # time, so a slide back to wasteful generation fails on any machine.
-    meter = WorkMeter(limit=2_211)
+    # census completed 152,311 matrices; it took 7,310 ticks before
+    # connectivity was decided row by row, and 2,211 before shapes and
+    # genus compositions were generated only when their two colors can
+    # be swapped.  The limit is work, not time, so a slide back to
+    # wasteful generation fails on any machine.
+    meter = WorkMeter(limit=1_020)
     graphs = enum_nonsep(nonsep(2, 8, (1, 1)), meter=meter)
     assert len(graphs) == 17
-    assert meter.used == 2_211
+    assert meter.used == 1_020
 
 
 def _unfiltered_nonsep(t, gamma_mode, involution):
@@ -359,7 +423,8 @@ def test_naive_agrees_on_larger_sep():
 
 FAST_PATH_NAMES = (
     "bounds_for", "_splits", "_shapes", "_decorations", "_compositions",
-    "_compositions_upto",
+    "_compositions_upto", "_paired_compositions", "_is_canonical",
+    "_degrees_can_pair",
     "_partitions_exact", "_weight_splits", "_cells_of", "_assemble",
     "_root_choices", "_vertex_invariant", "canonical_key", "find_gammas",
     "_gamma_classes",
