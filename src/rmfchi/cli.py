@@ -95,7 +95,6 @@ def _cmd_chi_n(args) -> int:
 
 def _cmd_graphs(args) -> int:
     t = parse_type(args.type)
-    meter = WorkMeter()
     counts: dict[str, int] = {}
     if t.variant is Variant.NONSEP:
         enum = enum_nonsep_naive if args.naive else enum_nonsep
@@ -111,8 +110,7 @@ def _cmd_graphs(args) -> int:
     elif t.variant is Variant.SEP:
         enum = enum_sep_naive if args.naive else enum_sep
         try:
-            graphs = enum(t, allow_full_degree=args.no_shortcircuit,
-                          meter=meter)
+            graphs = enum(t, allow_full_degree=args.no_shortcircuit)
         except FullDegreeError:
             raise FullDegreeError(
                 "full-degree separating types short-circuit to chi=1; "

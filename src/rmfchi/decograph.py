@@ -323,14 +323,21 @@ def _gamma_classes(g: DecoratedGraph,
     """The admissible gammas of a gamma-less graph, up to conjugacy.
 
     Maps each class's canonical key to g carrying its smallest gamma.
-    The one search of g that finds the gammas also keys them.
+    The one search of g that finds the gammas also keys them, one gamma
+    per class: the :func:`_readings` of a keyed gamma are its conjugates
+    read in the first order, and the smallest of them keys it, so a
+    later gamma whose first reading is among them is skipped.
     """
     searched = _search(g)
-    positions = _positions(searched[2])
+    orders = searched[2]
+    seen: set[tuple[int, ...]] = set()
     classes: dict[bytes, DecoratedGraph] = {}
     for gamma in _matched_gammas(g, searched, involution):
-        classes.setdefault(_encode(searched, gamma, positions),
-                           replace(g, gamma=gamma))
+        if next(_readings(orders, gamma)) not in seen:
+            readings = set(_readings(orders, gamma))
+            seen |= readings
+            classes.setdefault(_encode(searched, min(readings)),
+                               replace(g, gamma=gamma))
     return classes
 
 
@@ -571,31 +578,25 @@ def _search(g: DecoratedGraph):
     return header, best, orders
 
 
-def _positions(orders) -> list[list[int]]:
-    """For each vertex order, the position of every vertex in it."""
-    out = []
+def _readings(orders, gamma):
+    """Gamma read in the positions of each minimal order, in turn.
+
+    Two minimal orders differ by an automorphism a, so these are the
+    readings of the conjugates a^-1 gamma a in the first order, one per
+    automorphism.
+    """
     for cand in orders:
         pos = [0] * len(cand)
         for i, v in enumerate(cand):
             pos[v] = i
-        out.append(pos)
-    return out
+        yield tuple([pos[gamma[v]] for v in cand])
 
 
-def _encode(searched, gamma, positions=None) -> bytes:
-    """The canonical key of a graph from its ``_search`` and its gamma.
-
-    ``positions`` is :func:`_positions` of the search's orders, passed
-    by callers that key several gammas from one search.
-    """
-    header, rows, orders = searched
-    gamma_part = None
-    if gamma:  # the empty graph's gamma () encodes as None
-        if positions is None:
-            positions = _positions(orders)
-        gamma_part = min(tuple([pos[gamma[v]] for v in cand])
-                         for cand, pos in zip(orders, positions))
-    return repr((header, tuple(rows), gamma_part)).encode()
+def _encode(searched, reading) -> bytes:
+    """The canonical key of a graph from its ``_search`` and the
+    smallest of its gamma's :func:`_readings` (None without a gamma)."""
+    header, rows, _ = searched
+    return repr((header, tuple(rows), reading)).encode()
 
 
 def canonical_key(g: DecoratedGraph) -> bytes:
@@ -606,7 +607,10 @@ def canonical_key(g: DecoratedGraph) -> bytes:
     is the minimal serialized encoding over all admissible vertex
     orders, with gamma folded in as a tie-break after the adjacency.
     """
-    return _encode(_search(g), g.gamma)
+    searched = _search(g)
+    # the empty graph's gamma () encodes as None
+    return _encode(searched, min(_readings(searched[2], g.gamma))
+                   if g.gamma else None)
 
 
 def are_isomorphic(a: DecoratedGraph, b: DecoratedGraph) -> bool:

@@ -397,18 +397,17 @@ def _assemble(n_w, n_b, cells, weights, roots, genus) -> DecoratedGraph:
     return DecoratedGraph(vertices, edges)
 
 
-def _decorations(mat, bounds: EnumerationBounds, meter: WorkMeter,
-                 swappable: bool = False):
+def _decorations(mat, bounds: EnumerationBounds, meter: WorkMeter):
     """All decorated graphs (without gamma) on one shape.
 
-    With ``swappable``, only those whose white and black vertex
+    With balanced bounds, only those whose white and black vertex
     invariants agree as multisets, the graphs that can carry a
     color-swapping gamma; :func:`_shapes` has already dropped the shapes
-    whose two colors have different degrees.  The bounds are balanced,
-    so the roots of the two colors carry the same weights, and the
-    genus compositions generated are those that give the non-root
-    vertexes of the two colors with each genus-free invariant the same
-    genera (there are none when one color has more of them).
+    whose two colors have different degrees.  The roots of the two
+    colors carry the same weights, and the genus compositions generated
+    are those that give the non-root vertexes of the two colors with
+    each genus-free invariant the same genera (there are none when one
+    color has more of them).
     Each test is an isomorphism invariant, so it drops whole classes,
     and every kept class is first reached by the same decoration as
     without the tests.
@@ -433,7 +432,7 @@ def _decorations(mat, bounds: EnumerationBounds, meter: WorkMeter,
                 _root_choices(blacks, incident, bounds.black_root_weights)):
             roots = white_roots | black_roots
             free = [v for v in range(n_w + n_b) if v not in roots]
-            if swappable:
+            if bounds.balanced:
                 kinds = [_vertex_invariant(False, 0, incident[v])
                          for v in free]
                 split = n_w - len(white_roots)
@@ -464,11 +463,10 @@ def _splits(total_vertices: int, bounds: EnumerationBounds):
 # fast path: the census loop
 
 
-def _plain_classes(bounds: EnumerationBounds, meter: WorkMeter,
-                   swappable: bool = False):
+def _plain_classes(bounds: EnumerationBounds, meter: WorkMeter):
     """(canonical key, gamma-less graph), once per isomorphism class.
 
-    With ``swappable``, only the classes that can carry a
+    With balanced bounds, only the classes that can carry a
     color-swapping gamma (see :func:`_decorations`).
     """
     seen: set[bytes] = set()
@@ -478,8 +476,8 @@ def _plain_classes(bounds: EnumerationBounds, meter: WorkMeter,
                 for mat in _shapes(n_w, n_b, n_edges,
                                    len(bounds.white_root_weights),
                                    len(bounds.black_root_weights), meter,
-                                   swappable):
-                    for plain in _decorations(mat, bounds, meter, swappable):
+                                   bounds.balanced):
+                    for plain in _decorations(mat, bounds, meter):
                         key = canonical_key(plain)
                         if key not in seen:
                             seen.add(key)
@@ -539,7 +537,7 @@ def enum_nonsep(t: TopType, *, gamma_mode: GammaMode = GammaMode.AS_DATA,
     meter = meter or WorkMeter()
     bounds = bounds_for(t)
     found: dict[bytes, DecoratedGraph] = {}
-    for _, plain in _plain_classes(bounds, meter, swappable=True):
+    for _, plain in _plain_classes(bounds, meter):
         classes = _gamma_classes(plain, involution)
         if gamma_mode is GammaMode.EXISTENCE:
             classes = {key: classes[key] for key in sorted(classes)[:1]}

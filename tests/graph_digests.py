@@ -1,8 +1,9 @@
-"""Digest of every representative in the frozen g<=4, n<=8, |i|<=3 box.
+"""Digest of every representative in a frozen catalog box.
 
-For each record of ``tests/golden/catalog_g4_n8_i3.jsonl`` whose route
-is a graph census (``GRAPH_COUNT_*`` or ``SEP_FULL_DEGREE``), this runs
-``rmfchi graphs`` in process and prints one line: the type, its flags
+For each record of a frozen catalog (by default
+``tests/golden/catalog_g4_n8_i3.jsonl``) whose route is a graph census
+(``GRAPH_COUNT_*`` or ``SEP_FULL_DEGREE``), this runs ``rmfchi graphs``
+in process and prints one line: the type, its flags
 (``-`` for none), the graph count and the sha256 of the command's
 stdout.  Non-separating types get three lines, one per gamma
 convention; full-degree separating types are enumerated with
@@ -11,6 +12,12 @@ convention; full-degree separating types are enumerated with
 
     PYTHONPATH=src python tests/graph_digests.py > digests.sha256
     cmp digests.sha256 tests/golden/graphs_g4_n8_i3.sha256
+
+An optional argument names another catalog; the g<=5, n<=9, |i|<=3
+box is frozen as ``tests/golden/graphs_g5_n9_i3.sha256``::
+
+    PYTHONPATH=src python tests/graph_digests.py \
+        tests/golden/catalog_g5_n9_i3.jsonl > digests.sha256
 
 The file name keeps pytest from collecting it: the census takes longer
 than the tier-1 suite can spend.
@@ -22,6 +29,7 @@ import contextlib
 import hashlib
 import io
 import json
+import sys
 from pathlib import Path
 
 from rmfchi.cli import main
@@ -58,5 +66,6 @@ def digest(text: str, flags: tuple[str, ...]) -> str:
 
 
 if __name__ == "__main__":
-    for text, flags in runs(CATALOG):
+    catalog = Path(sys.argv[1]) if len(sys.argv) > 1 else CATALOG
+    for text, flags in runs(catalog):
         print(digest(text, flags), flush=True)

@@ -145,12 +145,13 @@ def _color_swapped(g):
         tuple(replace(v, color=other[v.color]) for v in g.vertices), g.edges)
 
 
-def test_find_gammas_equals_brute_force(monkeypatch):
+def test_find_gammas_equals_brute_force(monkeypatch, swap_cuts_off):
     # Every plain class of a few small types, with and without gammas,
     # in both conventions: the canonical search must find every
     # admissible gamma, not just the first.  A graph that is not
     # isomorphic to its color-swapped copy is rejected on the search
     # headers and rows, before any candidate permutation is tested.
+    # The census's swap cuts are off, so those graphs are listed too.
     tested = []
 
     def counting(g, gamma, involution=True):
@@ -160,8 +161,10 @@ def test_find_gammas_equals_brute_force(monkeypatch):
     monkeypatch.setattr(decograph, "gamma_violations", counting)
     nonempty = empty = unmirrored = 0
     for text in ("1,4,0|", "2,5,0|1", "2,6,0|2"):
-        t = parse_type(text)
-        for _, g in _plain_classes(bounds_for(t), WorkMeter()):
+        with swap_cuts_off():
+            plains = list(_plain_classes(bounds_for(parse_type(text)),
+                                         WorkMeter()))
+        for _, g in plains:
             mirrored = canonical_key(_color_swapped(g)) == canonical_key(g)
             unmirrored += not mirrored
             for involution in (True, False):
@@ -172,6 +175,22 @@ def test_find_gammas_equals_brute_force(monkeypatch):
                 nonempty += bool(want)
                 empty += not want
     assert nonempty > 0 and empty > 0 and unmirrored > 0
+
+
+def test_gamma_classes_key_each_class_by_its_smallest_gamma():
+    # One gamma is keyed per conjugacy class, yet the classes must be
+    # exactly those that keying every admissible gamma with
+    # canonical_key finds, each carrying its smallest gamma.
+    for text in ("1,4,0|", "3,7,0|1,1,1", "2,8,0|1,1"):
+        for _, g in _plain_classes(bounds_for(parse_type(text)),
+                                   WorkMeter()):
+            for involution in (True, False):
+                want = {}
+                for gamma in find_gammas(g, involution):
+                    want.setdefault(canonical_key(replace(g, gamma=gamma)),
+                                    gamma)
+                got = decograph._gamma_classes(g, involution)
+                assert {key: h.gamma for key, h in got.items()} == want
 
 
 def test_tampered_graphs_name_their_violations():

@@ -289,29 +289,34 @@ def test_shape_search_stays_pruned():
     assert meter.used == 1_020
 
 
-def _unfiltered_nonsep(t, gamma_mode, involution):
-    # The census as it ran before decorations were filtered by vertex
-    # invariants: every plain class is keyed and asked for its gammas.
+def _unfiltered_nonsep(t, gamma_mode, involution, swap_cuts_off):
+    # The census as it ran before shapes and decorations were filtered
+    # by the swap tests: with both cuts off, every plain class is keyed
+    # and asked for its gammas, and every gamma is keyed on its own.
     found = {}
-    for _, plain in enumerator._plain_classes(bounds_for(t), WorkMeter()):
-        for gam in find_gammas(plain, involution):
-            g = replace(plain, gamma=gam)
-            found.setdefault(canonical_key(g), g)
+    with swap_cuts_off():
+        for _, plain in enumerator._plain_classes(bounds_for(t),
+                                                  WorkMeter()):
+            for gam in find_gammas(plain, involution):
+                g = replace(plain, gamma=gam)
+                found.setdefault(canonical_key(g), g)
     graphs = [g for _, g in sorted(found.items())]
     if gamma_mode is GammaMode.EXISTENCE:
         graphs = enumerator._existence_projection(graphs)
     return graphs
 
 
-def test_swap_filter_changes_nothing():
-    # Dropping color-asymmetric decorations before keying must keep the
-    # same representatives, byte for byte, in the same order.
+def test_swap_filter_changes_nothing(swap_cuts_off):
+    # Dropping color-asymmetric shapes and decorations before keying,
+    # and keying one gamma per conjugacy class, must keep the same
+    # representatives, byte for byte, in the same order.
     conventions = ((GammaMode.AS_DATA, True), (GammaMode.EXISTENCE, True),
                    (GammaMode.AS_DATA, False))
     for text in ("1,4,0|", "2,5,0|1", "2,6,0|2", "3,6,0|", "3,7,0|1,1,1"):
         t = parse_type(text)
         for gamma_mode, involution in conventions:
-            want = _unfiltered_nonsep(t, gamma_mode, involution)
+            want = _unfiltered_nonsep(t, gamma_mode, involution,
+                                      swap_cuts_off)
             got = enum_nonsep(t, gamma_mode=gamma_mode,
                               involution=involution)
             assert want
@@ -353,6 +358,24 @@ def test_nonsep_searches_each_class_a_fixed_number_of_times(monkeypatch):
     assert len(enum_nonsep(nonsep(3, 7, (1, 1, 1)), involution=False)) \
         == 13
     assert len(calls) == 48
+
+
+def test_nonsep_keys_one_gamma_per_class(monkeypatch):
+    # A gamma whose conjugate was already keyed is skipped, so each
+    # returned graph's gamma is keyed once.  When every admissible gamma
+    # was keyed and a dict merged the conjugates, this census keyed 116.
+    calls = []
+    encode = decograph._encode
+
+    def counted(searched, reading):
+        if reading is not None:
+            calls.append(reading)
+        return encode(searched, reading)
+
+    monkeypatch.setattr(decograph, "_encode", counted)
+    assert len(enum_nonsep(nonsep(3, 7, (1, 1, 1)), involution=False)) \
+        == 13
+    assert len(calls) == 13
 
 
 def test_work_meter(monkeypatch):
