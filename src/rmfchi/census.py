@@ -95,15 +95,18 @@ def _bounded_indices(values: tuple[int, ...], k: int, budget: int):
     Every existing type of degree n has sum(|i|) <= n (see
     :func:`~rmfchi.topotype.exists`), so with ``budget`` n this lists
     every candidate that can exist, and only polynomially many tuples
-    where all combinations would be exponentially many in k.
+    where all combinations would be exponentially many in k.  It
+    recurses once per distinct value, not once per index.
     """
-    if k == 0:
-        yield ()
+    if not values:
+        if k == 0:
+            yield ()
         return
-    for pos, v in enumerate(values):
-        if abs(v) <= budget:
-            for rest in _bounded_indices(values[pos:], k - 1, budget - abs(v)):
-                yield (v,) + rest
+    v = values[0]
+    for count in range(min(k, budget // abs(v)) if v else k, -1, -1):
+        for rest in _bounded_indices(values[1:], k - count,
+                                     budget - count * abs(v)):
+            yield (v,) * count + rest
 
 
 def iter_types(bounds: SweepBounds) -> list[TopType]:
@@ -127,9 +130,7 @@ def iter_types(bounds: SweepBounds) -> list[TopType]:
                         if exists(t):
                             out.add(t)
             if want_sep or want_ext:
-                for k in range(1, g + 2):
-                    if (k - (g + 1)) % 2 != 0:
-                        continue
+                for k in range(1 + g % 2, g + 2, 2):  # k = g + 1 mod 2
                     for idx in _bounded_indices(signed, k, n):
                         t = sep(g, n, idx)
                         if not exists(t):

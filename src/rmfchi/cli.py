@@ -100,13 +100,12 @@ def _cmd_graphs(args) -> int:
         enum = enum_nonsep_naive if args.naive else enum_nonsep
         as_data = enum(t, involution=not args.gamma_any_order)
         existence = _existence_projection(as_data)
-        graphs = existence if args.gamma_existence else as_data
+        graphs, other, rest = ((existence, "count_as_data", as_data)
+                               if args.gamma_existence else
+                               (as_data, "count_existence", existence))
         counts["count"] = len(graphs)
-        if len(as_data) != len(existence):
-            other = ("count_as_data" if args.gamma_existence
-                     else "count_existence")
-            counts[other] = (len(as_data) if args.gamma_existence
-                             else len(existence))
+        if len(rest) != len(graphs):
+            counts[other] = len(rest)
     elif t.variant is Variant.SEP:
         enum = enum_sep_naive if args.naive else enum_sep
         try:

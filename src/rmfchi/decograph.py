@@ -318,17 +318,16 @@ def find_gammas(g: DecoratedGraph,
     return _matched_gammas(g, _search(g), involution)
 
 
-def _gamma_classes(g: DecoratedGraph,
+def _gamma_classes(g: DecoratedGraph, searched,
                    involution: bool) -> dict[bytes, DecoratedGraph]:
     """The admissible gammas of a gamma-less graph, up to conjugacy.
 
     Maps each class's canonical key to g carrying its smallest gamma.
-    The one search of g that finds the gammas also keys them, one gamma
-    per class: the :func:`_readings` of a keyed gamma are its conjugates
-    read in the first order, and the smallest of them keys it, so a
-    later gamma whose first reading is among them is skipped.
+    ``searched``, the ``_search(g)`` that keyed g, finds the gammas and
+    keys them, one per class: the :func:`_readings` of a keyed gamma
+    are its conjugates read in the first order, and the smallest keys
+    it, so a later gamma whose first reading is among them is skipped.
     """
-    searched = _search(g)
     orders = searched[2]
     seen: set[tuple[int, ...]] = set()
     classes: dict[bytes, DecoratedGraph] = {}
@@ -524,10 +523,9 @@ def _refined_classes(g: DecoratedGraph):
             break
         rank = [distinct.index(key) for key in keys]
 
-    classes: dict[int, list[int]] = {}
-    for v in range(n):
-        classes.setdefault(rank[v], []).append(v)
-    ordered = [sorted(classes[r]) for r in sorted(classes)]
+    ordered: list[list[int]] = [[] for _ in set(rank)]
+    for v in range(n):  # the ranks are 0, 1, ... in class order
+        ordered[rank[v]].append(v)
     keys = [init[cls[0]] for cls in ordered]
     return ordered, keys
 

@@ -2,16 +2,17 @@
 
 Two paths compute the same census.  The fast path builds bipartite
 multigraph shapes in a canonical form (maximal matrix under row and
-column permutations), decorates them, and deduplicates with
-:func:`rmfchi.decograph.canonical_key`; one loop serves both variants,
-and non-separating classes then get one gamma per conjugacy class from
-:func:`rmfchi.decograph._gamma_classes`.  The naive path works from the
-definitions: it lists labeled cores, hangs the roots off them in every
-way, tries every color-swapping bijection as gamma, keeps what the
-checkers accept, and buckets the survivors by exhausting relabelings.
-It exists so the fast path can be cross-validated and should only be
-used on small types.  The two paths share only the graph data classes,
-``relabel``/``strip_gamma``, the checkers (with their gamma clauses,
+column permutations), decorates them, and deduplicates them by the
+canonical key of one search each; one loop serves both variants, and
+non-separating classes then get one gamma per conjugacy class from
+:func:`rmfchi.decograph._gamma_classes`, which reuses that search.
+The naive path works from the definitions: it lists labeled cores,
+hangs the roots off them in every way, tries every color-swapping
+bijection as gamma, keeps what the checkers accept, and buckets the
+survivors by exhausting relabelings.  It exists so the fast path can
+be cross-validated and should only be used on small types.  The two
+paths share only the graph data classes, ``relabel``/``strip_gamma``,
+the checkers (with their gamma clauses,
 :func:`rmfchi.decograph.gamma_violations`) and the input guards.
 
 Both paths charge every generated object against a work meter so
@@ -32,8 +33,10 @@ from .decograph import (
     DecoratedGraph,
     Edge,
     Vertex,
+    _encode,
     _gamma_classes,
     _require_graph_model,
+    _search,
     _vertex_invariant,
     canonical_key,
     check_nonsep,
@@ -290,15 +293,15 @@ def _degrees_can_pair(row_sums, colsums, spare: int) -> bool:
     return short <= spare
 
 
-def _shapes(n_w: int, n_b: int, total: int, white_roots: int,
-            black_roots: int, meter: WorkMeter, swappable: bool = False):
+def _shapes(n_w: int, n_b: int, total: int, bounds: EnumerationBounds,
+            meter: WorkMeter):
     """Canonical connected multigraph shapes as multiplicity matrices.
 
     Only shapes with room for the roots are kept: every root is a
-    vertex of degree 1, so ``white_roots`` rows and ``black_roots``
-    columns must have sum 1.  Partial matrices are cut as soon as they
-    cannot become such a shape: column sums only grow, and a row's sum
-    is final.
+    vertex of degree 1, so a row per white root and a column per black
+    root of ``bounds`` must have sum 1.  Partial matrices are cut as
+    soon as they cannot become such a shape: column sums only grow, and
+    a row's sum is final.
     They are also cut when they cannot become canonical: if column j
     read top-down were below column j + 1, swapping the two would raise
     the first row where they differ, and the row-sorted result would be
@@ -310,13 +313,15 @@ def _shapes(n_w: int, n_b: int, total: int, white_roots: int,
     the rows above; it is skipped.  A shape whose later rows each meet
     the columns used above them, with no column left unused, is connected.
 
-    With ``swappable``, only shapes whose row sums and column sums, the
-    degrees of the two colors, agree as multisets: the shapes that can
-    carry a color-swapping gamma.  Such a shape is square, and each
+    With balanced bounds, only shapes whose row sums and column sums,
+    the degrees of the two colors, agree as multisets: the shapes that
+    can carry a color-swapping gamma.  Such a shape is square, and each
     partial matrix is cut by :func:`_degrees_can_pair`, which at the
     last row is that test; a matrix that fails is not counted or tested
     for canonicity.
     """
+    white_roots = len(bounds.white_root_weights)
+    black_roots = len(bounds.black_root_weights)
 
     def rows_from(i: int, remaining: int, prev, ties, colsums, row_sums,
                   acc):
@@ -340,7 +345,7 @@ def _shapes(n_w: int, n_b: int, total: int, white_roots: int,
                 sums = tuple(map(add, colsums, row))
                 if sum(c <= 1 for c in sums) < black_roots:
                     continue
-                if swappable and not _degrees_can_pair(
+                if bounds.balanced and not _degrees_can_pair(
                         row_sums + (s,), sums, remaining - s):
                     continue
                 still_tied = tuple(t and a == b
@@ -464,7 +469,7 @@ def _splits(total_vertices: int, bounds: EnumerationBounds):
 
 
 def _plain_classes(bounds: EnumerationBounds, meter: WorkMeter):
-    """(canonical key, gamma-less graph), once per isomorphism class.
+    """(canonical key, its search, gamma-less graph) per isomorphism class.
 
     With balanced bounds, only the classes that can carry a
     color-swapping gamma (see :func:`_decorations`).
@@ -473,15 +478,13 @@ def _plain_classes(bounds: EnumerationBounds, meter: WorkMeter):
     for n_edges in range(1, bounds.max_edges + 1):
         for cycle_rank in range(0, bounds.genus_budget + 1):
             for n_w, n_b in _splits(n_edges + 1 - cycle_rank, bounds):
-                for mat in _shapes(n_w, n_b, n_edges,
-                                   len(bounds.white_root_weights),
-                                   len(bounds.black_root_weights), meter,
-                                   bounds.balanced):
+                for mat in _shapes(n_w, n_b, n_edges, bounds, meter):
                     for plain in _decorations(mat, bounds, meter):
-                        key = canonical_key(plain)
+                        searched = _search(plain)
+                        key = _encode(searched, None)
                         if key not in seen:
                             seen.add(key)
-                            yield key, plain
+                            yield key, searched, plain
 
 
 def _checked(t: TopType, graphs: list[DecoratedGraph],
@@ -499,12 +502,11 @@ def _checked(t: TopType, graphs: list[DecoratedGraph],
 
 def _existence_projection(as_data: list[DecoratedGraph]
                           ) -> list[DecoratedGraph]:
-    """Per underlying graph, the as-data graph with the smallest key.
-
-    The result is sorted by canonical key, as every census is.
-    """
+    """Per underlying graph, the first of its as-data graphs: on the
+    fast census, sorted by key, the one with the smallest key; on the
+    oracle's, the one :func:`enum_nonsep_naive` keeps in EXISTENCE mode."""
     chosen: dict[bytes, DecoratedGraph] = {}
-    for g in sorted(as_data, key=canonical_key):
+    for g in as_data:
         chosen.setdefault(canonical_key(strip_gamma(g)), g)
     return list(chosen.values())
 
@@ -537,8 +539,8 @@ def enum_nonsep(t: TopType, *, gamma_mode: GammaMode = GammaMode.AS_DATA,
     meter = meter or WorkMeter()
     bounds = bounds_for(t)
     found: dict[bytes, DecoratedGraph] = {}
-    for _, plain in _plain_classes(bounds, meter):
-        classes = _gamma_classes(plain, involution)
+    for _, searched, plain in _plain_classes(bounds, meter):
+        classes = _gamma_classes(plain, searched, involution)
         if gamma_mode is GammaMode.EXISTENCE:
             classes = {key: classes[key] for key in sorted(classes)[:1]}
         found.update(classes)
@@ -556,7 +558,7 @@ def enum_sep(t: TopType, *, allow_full_degree: bool = False,
         raise ValueError("enum_sep needs a separating type")
     _require_sep_census(t, allow_full_degree)
     meter = meter or WorkMeter()
-    found = dict(_plain_classes(bounds_for(t), meter))
+    found = {key: g for key, _, g in _plain_classes(bounds_for(t), meter)}
     return _checked(t, [g for _, g in sorted(found.items())])
 
 

@@ -128,6 +128,13 @@ def test_iter_types_is_sorted_and_existing():
     assert all(is_normal(t) for t in types)
 
 
+def test_index_listing_recursion_does_not_grow_with_the_length():
+    # The listing once recursed once per index, so a type of genus
+    # about 1,000 overflowed the interpreter's stack while being listed.
+    assert list(census._bounded_indices((0, 1), 1500, 1)) \
+        == [(0,) * 1500, (0,) * 1499 + (1,)]
+
+
 def test_extension_refinements_replace_their_base():
     names = [format_type(t) for t in iter_types(SweepBounds(3, 4, 1))]
     assert "3,4,1|-1,1;0" in names

@@ -10,7 +10,8 @@ import sys
 from rmfchi import census, strata
 from rmfchi.cli import main
 from rmfchi.decograph import DecoratedGraph, check_nonsep
-from rmfchi.topotype import nonsep
+from rmfchi.enumerator import GammaMode, enum_nonsep, enum_nonsep_naive
+from rmfchi.topotype import nonsep, parse_type
 
 GOLDEN = pathlib.Path(__file__).parent / "golden" / "catalog_g1_n3_i2.jsonl"
 GRAPHS_GOLDEN = pathlib.Path(__file__).parent / "golden" / "graphs.jsonl"
@@ -109,6 +110,24 @@ def test_graphs_flags(capsys):
     assert json.loads(capsys.readouterr().out)["count"] == 2
     assert main(["graphs", "--naive", "0,4,0|"]) == 0
     assert json.loads(capsys.readouterr().out)["count"] == 2
+
+
+def test_graphs_existence_is_each_routes_own(capsys):
+    # --gamma-existence lists what each route's own EXISTENCE census
+    # keeps, in its order: the fast one the graph with the smallest key
+    # per underlying graph, the oracle the first gamma it admits.
+    for text in ("0,4,0|", "1,4,0|", "2,5,0|1", "1,5,0|1"):
+        t = parse_type(text)
+        for any_order in (False, True):
+            for flag, enum in ((None, enum_nonsep),
+                               ("--naive", enum_nonsep_naive)):
+                args = [flag, "--gamma-any-order" if any_order else None]
+                assert main(["graphs", "--gamma-existence"]
+                            + [a for a in args if a] + [text]) == 0
+                want = enum(t, gamma_mode=GammaMode.EXISTENCE,
+                            involution=not any_order)
+                assert json.loads(capsys.readouterr().out)["graphs"] \
+                    == [g.to_json_dict() for g in want]
 
 
 def test_graphs_match_golden(capsys):

@@ -164,7 +164,7 @@ def test_find_gammas_equals_brute_force(monkeypatch, swap_cuts_off):
         with swap_cuts_off():
             plains = list(_plain_classes(bounds_for(parse_type(text)),
                                          WorkMeter()))
-        for _, g in plains:
+        for _, _, g in plains:
             mirrored = canonical_key(_color_swapped(g)) == canonical_key(g)
             unmirrored += not mirrored
             for involution in (True, False):
@@ -182,14 +182,14 @@ def test_gamma_classes_key_each_class_by_its_smallest_gamma():
     # exactly those that keying every admissible gamma with
     # canonical_key finds, each carrying its smallest gamma.
     for text in ("1,4,0|", "3,7,0|1,1,1", "2,8,0|1,1"):
-        for _, g in _plain_classes(bounds_for(parse_type(text)),
-                                   WorkMeter()):
+        for _, searched, g in _plain_classes(bounds_for(parse_type(text)),
+                                             WorkMeter()):
             for involution in (True, False):
                 want = {}
                 for gamma in find_gammas(g, involution):
                     want.setdefault(canonical_key(replace(g, gamma=gamma)),
                                     gamma)
-                got = decograph._gamma_classes(g, involution)
+                got = decograph._gamma_classes(g, searched, involution)
                 assert {key: h.gamma for key, h in got.items()} == want
 
 

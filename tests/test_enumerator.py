@@ -251,9 +251,10 @@ def _reference_shapes(n_w: int, n_b: int, total: int):
 def test_pruned_shapes_are_the_filtered_ones():
     # Pruning partial matrices by column order and root demand must
     # keep exactly the shapes with enough degree-1 rows and columns;
-    # with swappable, exactly those whose row and column sums agree as
-    # multisets, in the same order (the census asks it of square shapes
-    # only, since non-separating splits are even).
+    # with balanced bounds, exactly those whose row and column sums
+    # agree as multisets, in the same order (the census asks it of
+    # square shapes only, since non-separating splits are even).  Only
+    # the root counts and the balance of the bounds are read.
     for n_w in range(1, 5):
         for n_b in range(1, 5):
             for total in range(1, 9):
@@ -264,15 +265,14 @@ def test_pruned_shapes_are_the_filtered_ones():
                         if sum(sum(row) == 1 for row in mat) >= white_roots
                         and sum(sum(col) == 1 for col in zip(*mat))
                         >= black_roots]
-                    assert list(enumerator._shapes(
-                        n_w, n_b, total, white_roots, black_roots,
-                        WorkMeter())) == expected
-                    if n_w == n_b:
+                    for balanced in (False, True) if n_w == n_b else (False,):
+                        bounds = EnumerationBounds(0, 0, (1,) * white_roots,
+                                                   (1,) * black_roots,
+                                                   balanced)
                         assert list(enumerator._shapes(
-                            n_w, n_b, total, white_roots, black_roots,
-                            WorkMeter(), swappable=True)) == [
-                            mat for mat in expected
-                            if sorted(map(sum, mat))
+                            n_w, n_b, total, bounds, WorkMeter())) == [
+                            mat for mat in expected if not balanced
+                            or sorted(map(sum, mat))
                             == sorted(map(sum, zip(*mat)))]
 
 
@@ -295,8 +295,8 @@ def _unfiltered_nonsep(t, gamma_mode, involution, swap_cuts_off):
     # and asked for its gammas, and every gamma is keyed on its own.
     found = {}
     with swap_cuts_off():
-        for _, plain in enumerator._plain_classes(bounds_for(t),
-                                                  WorkMeter()):
+        for _, _, plain in enumerator._plain_classes(bounds_for(t),
+                                                     WorkMeter()):
             for gam in find_gammas(plain, involution):
                 g = replace(plain, gamma=gam)
                 found.setdefault(canonical_key(g), g)
@@ -328,25 +328,28 @@ def test_nonsep_keys_only_swappable_decorations(monkeypatch):
     # Before decorations were filtered by vertex invariants this census
     # keyed 8,397 decorations; the count is work, not time, so a slide
     # back to keying every decoration fails on any machine.  The
-    # enumerator keys decorations only: graphs with gamma are keyed
-    # inside decograph, from the search that found their gammas.
+    # enumerator searches decorations only: graphs with gamma are keyed
+    # inside decograph, from the search that keyed their plain class.
     calls = []
+    search = decograph._search
 
     def counted(g):
         calls.append(g)
-        return canonical_key(g)
+        return search(g)
 
-    monkeypatch.setattr(enumerator, "canonical_key", counted)
+    monkeypatch.setattr(enumerator, "_search", counted)
     assert len(enum_nonsep(nonsep(3, 7, (1,)))) == 31
     assert len(calls) == 195
     assert all(g.gamma is None for g in calls)
 
 
 def test_nonsep_searches_each_class_a_fixed_number_of_times(monkeypatch):
-    # Each swappable plain class is searched three times: once to key
-    # it, then once more with its color-swapped copy to find all its
-    # gammas and key them.  When every gamma was keyed by a search of
-    # its own, this census (up to 36 gammas per class) ran 164.
+    # Each swappable plain class is searched twice: once to key it, and
+    # the same search then finds all its gammas with one search of its
+    # color-swapped copy and keys them.  When every gamma was keyed by a
+    # search of its own, the first census (up to 36 gammas per class)
+    # ran 164 searches; when the class was searched again to find its
+    # gammas, the two ran 48 and 403.
     calls = []
     search = decograph._search
 
@@ -355,9 +358,13 @@ def test_nonsep_searches_each_class_a_fixed_number_of_times(monkeypatch):
         return search(g)
 
     monkeypatch.setattr(decograph, "_search", counted)
+    monkeypatch.setattr(enumerator, "_search", counted)
     assert len(enum_nonsep(nonsep(3, 7, (1, 1, 1)), involution=False)) \
         == 13
-    assert len(calls) == 48
+    assert len(calls) == 37
+    calls.clear()
+    assert len(enum_nonsep(nonsep(3, 7, (1,)))) == 31
+    assert len(calls) == 299
 
 
 def test_nonsep_keys_one_gamma_per_class(monkeypatch):
@@ -450,7 +457,7 @@ FAST_PATH_NAMES = (
     "_degrees_can_pair",
     "_partitions_exact", "_weight_splits", "_cells_of", "_assemble",
     "_root_choices", "_vertex_invariant", "canonical_key", "find_gammas",
-    "_gamma_classes",
+    "_gamma_classes", "_search", "_encode",
 )
 
 
