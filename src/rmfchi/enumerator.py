@@ -7,9 +7,13 @@ canonical key of one search each; one loop serves both variants, and
 non-separating classes then get one gamma per conjugacy class from
 :func:`rmfchi.decograph._gamma_classes`, which reuses that search.
 The naive path works from the definitions: it lists labeled cores,
-hangs the roots off them in every way, tries every color-swapping
-bijection as gamma, keeps what the checkers accept, and buckets the
-survivors by exhausting relabelings.  It exists so the fast path can
+hangs the roots off them in every way, tries color-swapping bijections
+as gamma, keeps what the checkers accept, and buckets the survivors by
+exhausting relabelings.  It skips only what a checker clause rejects
+anyway: cores whose cycle rank exceeds the genus budget
+(``genus-equation``), non-separating cores with more vertexes of one
+color (``color-balance``), and bijections that change a vertex's genus
+or root flag (``gamma-vertex-data``).  It exists so the fast path can
 be cross-validated and should only be used on small types.  The two
 paths share only the graph data classes, ``relabel``/``strip_gamma``,
 the checkers (with their gamma clauses,
@@ -584,14 +588,18 @@ def _root_budgets(t: TopType):
             (t.n + abs_sum) // 2 - abs_sum, (t.g - t.k + 1) // 2)
 
 
-def _edge_multisets(slots, total: int, start: int = 0):
-    """Sorted tuples of slots, repeats allowed, whose weights sum up."""
+def _edge_multisets(slots, total: int, room: int, start: int = 0):
+    """Sorted tuples of at most ``room`` slots, repeats allowed, whose
+    weights sum up."""
     if total == 0:
         yield ()
         return
+    if room == 0:
+        return
     for idx in range(start, len(slots)):
         if slots[idx][2] <= total:
-            for rest in _edge_multisets(slots, total - slots[idx][2], idx):
+            for rest in _edge_multisets(slots, total - slots[idx][2],
+                                        room - 1, idx):
                 yield (slots[idx],) + rest
 
 
@@ -609,13 +617,24 @@ def _naive_plain_graphs(t: TopType, checker, meter: WorkMeter):
     forcing n = 0), so every graph is a connected core of non-root
     vertexes with each root hung off a core vertex of the other color.
     Cores are labeled: white vertexes first, edges as sorted multisets.
+
+    Two checker clauses are applied before a graph is built; the checker
+    stays the final judge.  A core's cycle rank must fit the genus
+    budget (``genus-equation``), so its edges are listed only up to
+    n_core - 1 + genus of them, and the rank is tested before any edge
+    is built.  A non-separating type has k roots of each color, so only
+    cores with as many white as black vertexes are listed
+    (``color-balance``).
     """
     white_roots, black_roots, weight_sum, genus = _root_budgets(t)
+    balanced = t.variant is Variant.NONSEP
     roots = ([(Color.WHITE, w) for w in white_roots]
              + [(Color.BLACK, w) for w in black_roots])
     root_vertices = tuple(Vertex(color, 0, True) for color, _ in roots)
     for n_core in range(1, weight_sum + 2):
         for n_w in range(n_core + 1):
+            if balanced and 2 * n_w != n_core:
+                continue
             colors = [Color.WHITE] * n_w + [Color.BLACK] * (n_core - n_w)
             whites = range(n_w)
             blacks = range(n_w, n_core)
@@ -623,12 +642,15 @@ def _naive_plain_graphs(t: TopType, checker, meter: WorkMeter):
                      for w in range(1, weight_sum + 1)]
             hosts_of = [blacks if color is Color.WHITE else whites
                         for color, _ in roots]
-            for core in _edge_multisets(slots, weight_sum):
+            for core in _edge_multisets(slots, weight_sum,
+                                        n_core - 1 + genus):
                 meter.tick()
+                cycle_rank = len(core) - n_core + 1
+                if cycle_rank < 0:
+                    continue
                 edges = tuple(Edge(u, v, w) for u, v, w in core)
-                cycle_rank = len(edges) - n_core + 1
-                if not (0 <= cycle_rank <= genus and DecoratedGraph(
-                        tuple(map(Vertex, colors)), edges).is_connected()):
+                if not DecoratedGraph(tuple(map(Vertex, colors)),
+                                      edges).is_connected():
                     continue
                 for genera in _spreads(genus - cycle_rank, n_core):
                     vertices = tuple(map(Vertex, colors, genera))
@@ -683,11 +705,15 @@ def enum_nonsep_naive(t: TopType, *,
                       ) -> list[DecoratedGraph]:
     """Brute-force census of non-separating graphs; small types only.
 
-    Every color-swapping bijection of every accepted labeled graph is
-    tried as gamma.  A plain graph is accepted when ``gamma-missing`` is
-    the only clause it fails, and no other clause reads gamma, so the
-    checker accepts the graph with gamma exactly when
-    :func:`gamma_violations` finds nothing; that is what each trial asks.
+    Every color-swapping bijection of every accepted labeled graph that
+    sends each vertex to one of the same genus and root flag is tried as
+    gamma.  The others fail ``gamma-vertex-data``; they are skipped
+    inside the loops over all of them, so the trials come in the order
+    of the full loops, and the first gamma admitted is theirs.  A plain
+    graph is accepted when ``gamma-missing`` is the only clause it
+    fails, and no other clause reads gamma, so the checker accepts the
+    graph with gamma exactly when :func:`gamma_violations` finds
+    nothing; that is what each trial asks.
     In EXISTENCE mode a graph keeps the first gamma admitted, where
     :func:`enum_nonsep` keeps the one with the smallest canonical key.
     """
@@ -704,9 +730,14 @@ def enum_nonsep_naive(t: TopType, *,
     for plain in _naive_plain_graphs(t, structural_ok, meter):
         whites = plain.ids_of(Color.WHITE)
         blacks = plain.ids_of(Color.BLACK)
+        data = [(v.weight, v.root) for v in plain.vertices]
         admitted = []
         for to_black in permutations(blacks):
+            if any(data[u] != data[v] for u, v in zip(whites, to_black)):
+                continue
             for to_white in permutations(whites):
+                if any(data[u] != data[v] for u, v in zip(blacks, to_white)):
+                    continue
                 meter.tick()
                 gamma = [0] * len(plain.vertices)
                 for old, new in zip(whites + blacks, to_black + to_white):

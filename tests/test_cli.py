@@ -116,7 +116,9 @@ def test_graphs_existence_is_each_routes_own(capsys):
     # --gamma-existence lists what each route's own EXISTENCE census
     # keeps, in its order: the fast one the graph with the smallest key
     # per underlying graph, the oracle the first gamma it admits.
-    for text in ("0,4,0|", "1,4,0|", "2,5,0|1", "1,5,0|1"):
+    # On 1,6,0| with gammas of any order the two routes keep different
+    # gammas.
+    for text in ("0,4,0|", "1,4,0|", "2,5,0|1", "1,5,0|1", "1,6,0|"):
         t = parse_type(text)
         for any_order in (False, True):
             for flag, enum in ((None, enum_nonsep),
