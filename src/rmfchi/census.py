@@ -13,6 +13,7 @@ from __future__ import annotations
 import csv
 import json
 import os
+from collections.abc import Sequence
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
@@ -20,6 +21,8 @@ from functools import partial
 from .enumerator import WorkLimitExceeded, WorkMeter
 from .euler import chi_compactification, chi_component
 from .topotype import (
+    MAX_GENUS,
+    MAX_SHEETS,
     TopType,
     Variant,
     admits_extension,
@@ -38,6 +41,9 @@ _VARIANT_RANK = {Variant.NONSEP: 0, Variant.SEP: 1, Variant.SEP_EXT: 2}
 class SweepBounds:
     """Search box: g <= g_max, n <= n_max, every |i| <= abs_i_max.
 
+    g_max and n_max may not exceed the type caps ``MAX_GENUS`` and
+    ``MAX_SHEETS``, since no type beyond them can be built.
+
     ``eps`` restricts the variants: "0" non-separating, "1" plain
     separating, "ext" extended, None all of them.
     """
@@ -50,6 +56,10 @@ class SweepBounds:
     def __post_init__(self):
         if self.g_max < 0 or self.n_max < 1 or self.abs_i_max < 0:
             raise ValueError("bounds must cover at least one type")
+        if self.g_max > MAX_GENUS:
+            raise ValueError(f"g_max must be <= {MAX_GENUS}")
+        if self.n_max > MAX_SHEETS:
+            raise ValueError(f"n_max must be <= {MAX_SHEETS}")
         if self.eps not in (None, "0", "1", "ext"):
             raise ValueError("eps must be one of '0', '1', 'ext'")
 
@@ -89,24 +99,27 @@ def type_sort_key(t: TopType):
             -1 if t.xi is None else t.xi)
 
 
-def _bounded_indices(values: tuple[int, ...], k: int, budget: int):
-    """Non-decreasing k-tuples from sorted ``values`` with sum(|i|) <= budget.
+def _bounded_indices(values: Sequence[int], k: int, budget: int,
+                     start: int = 0):
+    """Non-decreasing k-tuples from sorted ``values[start:]`` with
+    sum(|i|) <= budget.
 
     Every existing type of degree n has sum(|i|) <= n (see
     :func:`~rmfchi.topotype.exists`), so with ``budget`` n this lists
     every candidate that can exist, and only polynomially many tuples
     where all combinations would be exponentially many in k.  It
-    recurses once per distinct value, not once per index.
+    recurses once per distinct value a tuple uses, so neither k nor the
+    values that take no part deepen the recursion.
     """
-    if not values:
-        if k == 0:
-            yield ()
+    if k == 0:
+        yield ()
         return
-    v = values[0]
-    for count in range(min(k, budget // abs(v)) if v else k, -1, -1):
-        for rest in _bounded_indices(values[1:], k - count,
-                                     budget - count * abs(v)):
-            yield (v,) * count + rest
+    for j in range(start, len(values)):
+        v = values[j]
+        for count in range(min(k, budget // abs(v)) if v else k, 0, -1):
+            for rest in _bounded_indices(values, k - count,
+                                         budget - count * abs(v), j + 1):
+                yield (v,) * count + rest
 
 
 def iter_types(bounds: SweepBounds) -> list[TopType]:
@@ -119,10 +132,12 @@ def iter_types(bounds: SweepBounds) -> list[TopType]:
     want_nonsep = bounds.eps in (None, "0")
     want_sep = bounds.eps in (None, "1")
     want_ext = bounds.eps in (None, "ext")
-    unsigned = tuple(range(bounds.abs_i_max + 1))
-    signed = tuple(range(-bounds.abs_i_max, bounds.abs_i_max + 1))
     for g in range(bounds.g_max + 1):
         for n in range(1, bounds.n_max + 1):
+            # sum(|i|) <= n, so no index of an existing type exceeds n
+            cap = min(bounds.abs_i_max, n)
+            unsigned = range(cap + 1)
+            signed = range(-cap, cap + 1)
             if want_nonsep:
                 for k in range(0, g + 1):
                     for idx in _bounded_indices(unsigned, k, n):

@@ -18,6 +18,9 @@ be cross-validated and should only be used on small types.  The two
 paths share only the graph data classes, ``relabel``/``strip_gamma``,
 the checkers (with their gamma clauses,
 :func:`rmfchi.decograph.gamma_violations`) and the input guards.
+:func:`_existence_projection` is the one piece applied to both: the
+fast census takes its EXISTENCE graphs from it, and ``rmfchi graphs``
+derives one convention's list from the other's with it on either route.
 
 Both paths charge every generated object against a work meter so
 runaway inputs fail fast instead of hanging.
@@ -42,7 +45,7 @@ from .decograph import (
     _require_graph_model,
     _search,
     _vertex_invariant,
-    canonical_key,
+    canonical_key,  # not called here; censusbench/tracer.py rebinds it
     check_nonsep,
     check_sep,
     find_gammas,  # not called here; censusbench/tracer.py rebinds it
@@ -506,12 +509,23 @@ def _checked(t: TopType, graphs: list[DecoratedGraph],
 
 def _existence_projection(as_data: list[DecoratedGraph]
                           ) -> list[DecoratedGraph]:
-    """Per underlying graph, the first of its as-data graphs: on the
-    fast census, sorted by key, the one with the smallest key; on the
-    oracle's, the one :func:`enum_nonsep_naive` keeps in EXISTENCE mode."""
-    chosen: dict[bytes, DecoratedGraph] = {}
+    """Per underlying graph, the first of a route's as-data graphs: on
+    the fast census, sorted by key, the one with the smallest key; on
+    the oracle's, the one :func:`enum_nonsep_naive` keeps in EXISTENCE
+    mode.
+
+    It groups on the labelled graph ``strip_gamma(g)``, with no search.
+    That is exact because each route puts all the as-data graphs of one
+    underlying graph on one labelling.  The fast route's are ``plain``
+    with a gamma, for one ``plain`` per plain class, and no two plain
+    classes are isomorphic.  The oracle's are bucketed in the order the
+    labelled graphs are reached, and every gamma class of an underlying
+    graph has a member on the first of them, so the bucket keeps them
+    all there.  Canonical relabelling must keep this, or group by key.
+    """
+    chosen: dict[DecoratedGraph, DecoratedGraph] = {}
     for g in as_data:
-        chosen.setdefault(canonical_key(strip_gamma(g)), g)
+        chosen.setdefault(strip_gamma(g), g)
     return list(chosen.values())
 
 
@@ -536,7 +550,9 @@ def enum_nonsep(t: TopType, *, gamma_mode: GammaMode = GammaMode.AS_DATA,
     In AS_DATA mode every returned graph carries one admissible gamma
     and two graphs differing only by non-conjugate gammas are distinct;
     in EXISTENCE mode each underlying graph appears once, carrying the
-    gamma that gives the smallest canonical form.
+    gamma that gives the smallest canonical form: the
+    :func:`_existence_projection` of the AS_DATA list, whose graphs of
+    one underlying graph all share its one labelled plain graph.
     """
     if t.variant is not Variant.NONSEP:
         raise ValueError("enum_nonsep needs a non-separating type")
@@ -544,11 +560,11 @@ def enum_nonsep(t: TopType, *, gamma_mode: GammaMode = GammaMode.AS_DATA,
     bounds = bounds_for(t)
     found: dict[bytes, DecoratedGraph] = {}
     for _, searched, plain in _plain_classes(bounds, meter):
-        classes = _gamma_classes(plain, searched, involution)
-        if gamma_mode is GammaMode.EXISTENCE:
-            classes = {key: classes[key] for key in sorted(classes)[:1]}
-        found.update(classes)
-    return _checked(t, [g for _, g in sorted(found.items())], involution)
+        found.update(_gamma_classes(plain, searched, involution))
+    graphs = [g for _, g in sorted(found.items())]
+    if gamma_mode is GammaMode.EXISTENCE:
+        graphs = _existence_projection(graphs)
+    return _checked(t, graphs, involution)
 
 
 def enum_sep(t: TopType, *, allow_full_degree: bool = False,

@@ -20,6 +20,8 @@ from rmfchi.census import (
     write_jsonl,
 )
 from rmfchi.topotype import (
+    MAX_GENUS,
+    MAX_SHEETS,
     Variant,
     format_type,
     is_normal,
@@ -163,6 +165,13 @@ def test_bounds_validation():
         SweepBounds(1, 0, 2)
     with pytest.raises(ValueError):
         SweepBounds(1, 3, 2, eps="2")
+    # A box beyond the type caps once listed about 2e9 candidate types
+    # before the first type past MAX_GENUS failed to build.
+    SweepBounds(MAX_GENUS, MAX_SHEETS, 0)
+    with pytest.raises(ValueError, match=f"g_max must be <= {MAX_GENUS}"):
+        SweepBounds(MAX_GENUS + 1, 1, 0)
+    with pytest.raises(ValueError, match=f"n_max must be <= {MAX_SHEETS}"):
+        SweepBounds(0, MAX_SHEETS + 1, 0)
 
 
 def test_work_limit_flags_the_record():

@@ -260,14 +260,18 @@ def test_larger_catalog_matches_golden(tmp_path, capsys):
 def test_high_genus_catalog_matches_golden(tmp_path):
     # Up to g + 1 indices per type: listing the candidates must stay
     # polynomial in g, or this box takes minutes instead of a second.
+    # No index of an existing type exceeds n, so a looser |i| bound
+    # gives the same box; listing every value up to it once overflowed
+    # the stack (one recursion per value) at --abs-i-max 1000.
     out = tmp_path / "cat.jsonl"
-    proc = subprocess.run(
-        [sys.executable, "-m", "rmfchi", "catalog", "--g-max", "20",
-         "--n-max", "3", "--abs-i-max", "3", "--out", str(out)],
-        capture_output=True, text=True, timeout=60)
-    assert proc.returncode == 0
-    assert proc.stdout == f"records=636 path={out}\n"
-    assert out.read_bytes() == HIGH_GENUS_GOLDEN.read_bytes()
+    for abs_i_max in ("3", "1000"):
+        proc = subprocess.run(
+            [sys.executable, "-m", "rmfchi", "catalog", "--g-max", "20",
+             "--n-max", "3", "--abs-i-max", abs_i_max, "--out", str(out)],
+            capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == f"records=636 path={out}\n"
+        assert out.read_bytes() == HIGH_GENUS_GOLDEN.read_bytes()
 
 
 def test_catalog_unwritable_out_fails_before_the_sweep(tmp_path, capsys,

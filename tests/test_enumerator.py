@@ -14,6 +14,7 @@ from oracle_keys import criterion_8_types, digest_lines
 from test_acceptance import _graph_model_types
 
 from rmfchi import decograph, enumerator
+from rmfchi.cli import main
 from rmfchi.decograph import (
     Color,
     DecoratedGraph,
@@ -42,6 +43,7 @@ from rmfchi.enumerator import (
 from rmfchi.topotype import (
     NonExistentTypeError,
     Variant,
+    format_type,
     nonsep,
     parse_type,
     sep,
@@ -369,6 +371,34 @@ def test_nonsep_searches_each_class_a_fixed_number_of_times(monkeypatch):
     assert len(calls) == 299
 
 
+def test_graphs_command_adds_no_searches(monkeypatch, capsys):
+    # ``rmfchi graphs`` reads the other convention's count off the census
+    # it printed without searching again.  It once keyed every as-data
+    # graph a second time to find its underlying graph.
+    calls = []
+    search = decograph._search
+
+    def counted(g):
+        calls.append(g)
+        return search(g)
+
+    monkeypatch.setattr(decograph, "_search", counted)
+    monkeypatch.setattr(enumerator, "_search", counted)
+    for text in ("3,7,0|1", "4,8,0|1,1,1,1"):
+        t = parse_type(text)
+        for flag, mode, involution in (
+                (None, GammaMode.AS_DATA, True),
+                ("--gamma-existence", GammaMode.EXISTENCE, True),
+                ("--gamma-any-order", GammaMode.AS_DATA, False)):
+            calls.clear()
+            enum_nonsep(t, gamma_mode=mode, involution=involution)
+            census_calls = len(calls)
+            calls.clear()
+            assert main(["graphs", *([flag] if flag else []), text]) == 0
+            capsys.readouterr()
+            assert len(calls) == census_calls, (text, flag)
+
+
 def test_nonsep_keys_one_gamma_per_class(monkeypatch):
     # A gamma whose conjugate was already keyed is skipped, so each
     # returned graph's gamma is keyed once.  When every admissible gamma
@@ -497,10 +527,14 @@ FAST_PATH_NAMES = (
 )
 
 
-def test_naive_census_shares_nothing_with_the_fast_path(monkeypatch):
+def test_naive_census_shares_nothing_with_the_fast_path(monkeypatch,
+                                                       capsys):
     # Agreement with the fast path is evidence only if the oracle runs
     # none of its code: with every fast-path helper made to raise, the
-    # oracle must still return the same graphs.
+    # oracle must still return the same graphs, and ``rmfchi graphs
+    # --naive`` must print the same output.  The command once keyed
+    # every as-data graph with canonical_key to find its underlying
+    # graph.
     runs = [(enum_nonsep_naive, t, kwargs) for t in NAIVE_NONSEP_TYPES
             for kwargs in ({"gamma_mode": GammaMode.AS_DATA},
                            {"gamma_mode": GammaMode.EXISTENCE},
@@ -508,6 +542,19 @@ def test_naive_census_shares_nothing_with_the_fast_path(monkeypatch):
     runs += [(enum_sep_naive, t, {"allow_full_degree": True})
              for t in NAIVE_SEP_TYPES]
     expected = [census(t, **kwargs) for census, t, kwargs in runs]
+    commands = [["graphs", "--naive", *flags, format_type(t)]
+                for t in NAIVE_NONSEP_TYPES
+                for flags in ((), ("--gamma-existence",),
+                              ("--gamma-any-order",))]
+
+    def printed():
+        out = []
+        for argv in commands:
+            assert main(argv) == 0
+            out.append(capsys.readouterr().out)
+        return out
+
+    expected_out = printed()
 
     def fast_path(*args, **kwargs):
         raise AssertionError("the naive census ran fast-path code")
@@ -515,6 +562,7 @@ def test_naive_census_shares_nothing_with_the_fast_path(monkeypatch):
     for name in FAST_PATH_NAMES:
         monkeypatch.setattr(enumerator, name, fast_path)
     assert [census(t, **kwargs) for census, t, kwargs in runs] == expected
+    assert printed() == expected_out
     with pytest.raises(FullDegreeError):
         enum_sep_naive(sep(1, 3, (1, 2)))
     with pytest.raises(ZeroIndexError):
