@@ -3,9 +3,13 @@
 Two paths compute the same census.  The fast path builds bipartite
 multigraph shapes in a canonical form (maximal matrix under row and
 column permutations), decorates them, and deduplicates them by the
-canonical key of one search each; one loop serves both variants, and
-non-separating classes then get one gamma per conjugacy class from
-:func:`rmfchi.decograph._gamma_classes`, which reuses that search.
+canonical key of one search each.  Equal rows, and equal columns, of a
+shape are decorated in order: a decoration that swapping two of them
+maps to an earlier one is skipped, since it is never the first of its
+class (the proof is in :func:`_decorations`).  One loop serves both
+variants, and non-separating classes then get one gamma per conjugacy
+class from :func:`rmfchi.decograph._gamma_classes`, which reuses that
+search.
 The naive path works from the definitions: it lists labeled cores,
 hangs the roots off them in every way, tries color-swapping bijections
 as gamma, keeps what the checkers accept, and buckets the survivors by
@@ -409,8 +413,34 @@ def _assemble(n_w, n_b, cells, weights, roots, genus) -> DecoratedGraph:
     return DecoratedGraph(vertices, edges)
 
 
+def _shape_twins(mat):
+    """Pairs (v, v + 1) of vertexes whose rows, or columns, are equal.
+
+    A canonical shape has its rows sorted and its columns not rising
+    from left to right, so equal rows, and equal columns, are adjacent.
+    """
+    n_w = len(mat)
+    cols = list(zip(*mat))
+    return ([(i, i + 1) for i in range(n_w - 1) if mat[i] == mat[i + 1]]
+            + [(n_w + j, n_w + j + 1) for j in range(len(cols) - 1)
+               if cols[j] == cols[j + 1]])
+
+
+def _twin_ties(twins, key):
+    """The pairs (a, b) of ``twins`` on which ``key`` ties, or None when
+    key(b) < key(a) for one of them."""
+    tied = []
+    for a, b in twins:
+        ka, kb = key(a), key(b)
+        if kb < ka:
+            return None
+        if ka == kb:
+            tied.append((a, b))
+    return tied
+
+
 def _decorations(mat, bounds: EnumerationBounds, meter: WorkMeter):
-    """All decorated graphs (without gamma) on one shape.
+    """All decorated graphs (without gamma) on one shape, up to twin order.
 
     With balanced bounds, only those whose white and black vertex
     invariants agree as multisets, the graphs that can carry a
@@ -423,6 +453,27 @@ def _decorations(mat, bounds: EnumerationBounds, meter: WorkMeter):
     Each test is an isomorphism invariant, so it drops whole classes,
     and every kept class is first reached by the same decoration as
     without the tests.
+
+    Twin order.  Two vertexes a, a + 1 are twins when their rows, or
+    their columns, of the shape are equal (:func:`_shape_twins`).  A
+    vertex's key is the (sum, weights) of its cells in cell order, then
+    whether it is not a root, then its genus.  A decoration in which the
+    second of two twins has the smaller key is skipped; each part of the
+    key is compared as soon as it is known: after the weight split,
+    per root choice and per genus composition.
+    Why nothing changes: on one shape, decorations come in the
+    lexicographic order of the (sum, weights) of every cell in cell
+    order, then the sorted white roots, the sorted black roots, and the
+    genus vector.  Swapping twins a and a + 1 maps the shape onto
+    itself, so it maps a skipped decoration to an isomorphic one.  The
+    cells of twin rows are adjacent runs of the cell order, and those
+    of twin columns interleave pairwise, so the image is smaller at the
+    first place where the two differ: in the weights of a's first
+    differing cell, in the sorted roots (a + 1 trades for a) or in a's
+    genus.  It passes the same invariant tests, so it came earlier, and
+    a skipped decoration is never the first of its class.  The census
+    then keeps the same graph of every class, in the same order.  Any
+    reordering of these loops must keep this order.
     """
     n_w, n_b = len(mat), len(mat[0])
     whites, blacks = range(n_w), range(n_w, n_w + n_b)
@@ -434,15 +485,23 @@ def _decorations(mat, bounds: EnumerationBounds, meter: WorkMeter):
     for idx, (i, j, _) in enumerate(cells):
         cells_at[i].append(idx)
         cells_at[n_w + j].append(idx)
+    twins = _shape_twins(mat)
 
     for weights in _weight_splits(mults, bounds.edge_weight_sum):
         meter.tick()
+        by_cells = _twin_ties(twins, lambda v: [
+            (sum(weights[idx]), weights[idx]) for idx in cells_at[v]])
+        if by_cells is None:
+            continue
         incident = [[w for idx in at for w in weights[idx]]
                     for at in cells_at]
         for white_roots, black_roots in product(
                 _root_choices(whites, incident, bounds.white_root_weights),
                 _root_choices(blacks, incident, bounds.black_root_weights)):
             roots = white_roots | black_roots
+            by_flag = _twin_ties(by_cells, lambda v: v not in roots)
+            if by_flag is None:
+                continue
             free = [v for v in range(n_w + n_b) if v not in roots]
             if bounds.balanced:
                 kinds = [_vertex_invariant(False, 0, incident[v])
@@ -453,9 +512,11 @@ def _decorations(mat, bounds: EnumerationBounds, meter: WorkMeter):
             else:
                 comps = _compositions(spare, len(free))
             for comp in comps:
+                genus = dict(zip(free, comp))
+                if _twin_ties(by_flag, lambda v: genus.get(v, 0)) is None:
+                    continue
                 meter.tick()
-                yield _assemble(n_w, n_b, cells, weights, roots,
-                                dict(zip(free, comp)))
+                yield _assemble(n_w, n_b, cells, weights, roots, genus)
 
 
 def _splits(total_vertices: int, bounds: EnumerationBounds):

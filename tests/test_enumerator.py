@@ -285,12 +285,13 @@ def test_shape_search_stays_pruned():
     # census completed 152,311 matrices; it took 7,310 ticks before
     # connectivity was decided row by row, and 2,211 before shapes and
     # genus compositions were generated only when their two colors can
-    # be swapped.  The limit is work, not time, so a slide back to
+    # be swapped, and 1,020 before twin rows and columns were decorated
+    # in order.  The limit is work, not time, so a slide back to
     # wasteful generation fails on any machine.
-    meter = WorkMeter(limit=1_020)
+    meter = WorkMeter(limit=913)
     graphs = enum_nonsep(nonsep(2, 8, (1, 1)), meter=meter)
     assert len(graphs) == 17
-    assert meter.used == 1_020
+    assert meter.used == 913
 
 
 def _unfiltered_nonsep(t, gamma_mode, involution, swap_cuts_off):
@@ -328,10 +329,35 @@ def test_swap_filter_changes_nothing(swap_cuts_off):
                 == [g.to_json_dict() for g in want]
 
 
+def test_twin_order_changes_nothing(monkeypatch):
+    # Skipping the decorations whose twin rows or columns are out of
+    # order must keep the same representatives, byte for byte, in the
+    # same order, in every convention.  Every type has twin roots.
+    nonsep_runs = [(text, {"gamma_mode": gamma_mode, "involution": involution})
+                   for text in ("3,7,0|1,1,1", "2,8,0|1,1", "3,6,0|1,1")
+                   for gamma_mode, involution in (
+                       (GammaMode.AS_DATA, True), (GammaMode.EXISTENCE, True),
+                       (GammaMode.AS_DATA, False))]
+    sep_runs = [(text, {"allow_full_degree": True})
+                for text in ("4,9,1|1,1,3", "4,9,1|1,1,1", "3,8,1|-1,1")]
+
+    def censuses():
+        return [[g.to_json_dict() for g in census(parse_type(text), **kwargs)]
+                for census, runs in ((enum_nonsep, nonsep_runs),
+                                     (enum_sep, sep_runs))
+                for text, kwargs in runs]
+
+    got = censuses()
+    monkeypatch.setattr(enumerator, "_shape_twins", lambda mat: [])
+    assert all(got)
+    assert got == censuses()
+
+
 def test_nonsep_keys_only_swappable_decorations(monkeypatch):
     # Before decorations were filtered by vertex invariants this census
-    # keyed 8,397 decorations; the count is work, not time, so a slide
-    # back to keying every decoration fails on any machine.  The
+    # keyed 8,397 decorations, and 195 before twin rows and columns were
+    # decorated in order; the count is work, not time, so a slide back
+    # to keying every decoration fails on any machine.  The
     # enumerator searches decorations only: graphs with gamma are keyed
     # inside decograph, from the search that keyed their plain class.
     calls = []
@@ -343,7 +369,7 @@ def test_nonsep_keys_only_swappable_decorations(monkeypatch):
 
     monkeypatch.setattr(enumerator, "_search", counted)
     assert len(enum_nonsep(nonsep(3, 7, (1,)))) == 31
-    assert len(calls) == 195
+    assert len(calls) == 104
     assert all(g.gamma is None for g in calls)
 
 
@@ -353,7 +379,8 @@ def test_nonsep_searches_each_class_a_fixed_number_of_times(monkeypatch):
     # color-swapped copy and keys them.  When every gamma was keyed by a
     # search of its own, the first census (up to 36 gammas per class)
     # ran 164 searches; when the class was searched again to find its
-    # gammas, the two ran 48 and 403.
+    # gammas, the two ran 48 and 403; before twin rows and columns were
+    # decorated in order, 37 and 299.
     calls = []
     search = decograph._search
 
@@ -365,10 +392,34 @@ def test_nonsep_searches_each_class_a_fixed_number_of_times(monkeypatch):
     monkeypatch.setattr(enumerator, "_search", counted)
     assert len(enum_nonsep(nonsep(3, 7, (1, 1, 1)), involution=False)) \
         == 13
-    assert len(calls) == 37
+    assert len(calls) == 22
     calls.clear()
     assert len(enum_nonsep(nonsep(3, 7, (1,)))) == 31
-    assert len(calls) == 299
+    assert len(calls) == 208
+
+
+def test_twin_order_keys_one_decoration_per_class(monkeypatch):
+    # Four interchangeable roots of each color: decorating twin rows and
+    # columns in order leaves one decoration per plain class to search,
+    # besides the search of its color-swapped copy.  Before, this census
+    # searched 38 decorations, 52 searches in all.
+    t = nonsep(4, 8, (1, 1, 1, 1))
+    classes = list(enumerator._plain_classes(bounds_for(t), WorkMeter()))
+    assert len(classes) == 14
+    decorations, copies = [], []
+    search = decograph._search
+
+    def counted(calls):
+        def run(g):
+            calls.append(g)
+            return search(g)
+        return run
+
+    monkeypatch.setattr(enumerator, "_search", counted(decorations))
+    monkeypatch.setattr(decograph, "_search", counted(copies))
+    assert len(enum_nonsep(t)) == 6
+    assert len(decorations) == 14
+    assert len(decorations) + len(copies) == 28
 
 
 def test_graphs_command_adds_no_searches(monkeypatch, capsys):
@@ -522,7 +573,8 @@ FAST_PATH_NAMES = (
     "_compositions_upto", "_paired_compositions", "_is_canonical",
     "_degrees_can_pair",
     "_partitions_exact", "_weight_splits", "_cells_of", "_assemble",
-    "_root_choices", "_vertex_invariant", "canonical_key", "find_gammas",
+    "_root_choices", "_shape_twins", "_twin_ties", "_vertex_invariant",
+    "canonical_key", "find_gammas",
     "_gamma_classes", "_search", "_encode",
 )
 
