@@ -13,10 +13,9 @@ from __future__ import annotations
 import csv
 import json
 import os
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from functools import partial
 
 from .enumerator import WorkLimitExceeded, WorkMeter
 from .euler import chi_compactification, chi_component
@@ -29,9 +28,7 @@ from .topotype import (
     dimension,
     exists,
     format_type,
-    nonsep,
-    sep,
-    sepext,
+    is_normal,
 )
 
 _VARIANT_RANK = {Variant.NONSEP: 0, Variant.SEP: 1, Variant.SEP_EXT: 2}
@@ -122,71 +119,72 @@ def _bounded_indices(values: Sequence[int], k: int, budget: int,
                 yield (v,) * count + rest
 
 
-def iter_types(bounds: SweepBounds) -> list[TopType]:
-    """All existing normalized types in the box, sorted.
+def iter_types(bounds: SweepBounds) -> Iterator[TopType]:
+    """All existing normalized types in the box, lazily, in sort order.
 
     Separating types that admit the extension are replaced by their
     extended refinements (those are the actual component labels).
+
+    Invariant: the loops nest in :func:`type_sort_key`'s order (variant,
+    g, n, k, index tuple, xi) and :func:`_bounded_indices` lists each
+    k's tuples in increasing order, so types are built sorted.  Both
+    members of a sign orbit are built; only its normal form is kept.
     """
-    out: set[TopType] = set()
-    want_nonsep = bounds.eps in (None, "0")
-    want_sep = bounds.eps in (None, "1")
-    want_ext = bounds.eps in (None, "ext")
-    for g in range(bounds.g_max + 1):
-        for n in range(1, bounds.n_max + 1):
-            # sum(|i|) <= n, so no index of an existing type exceeds n
-            cap = min(bounds.abs_i_max, n)
-            unsigned = range(cap + 1)
-            signed = range(-cap, cap + 1)
-            if want_nonsep:
-                for k in range(0, g + 1):
-                    for idx in _bounded_indices(unsigned, k, n):
-                        t = nonsep(g, n, idx)
-                        if exists(t):
-                            out.add(t)
-            if want_sep or want_ext:
-                for k in range(1 + g % 2, g + 2, 2):  # k = g + 1 mod 2
-                    for idx in _bounded_indices(signed, k, n):
-                        t = sep(g, n, idx)
-                        if not exists(t):
-                            continue
-                        if admits_extension(t):
-                            if want_ext:
-                                for xi in range(0, (g - k + 1) // 2 + 1):
-                                    tt = sepext(g, n, idx, xi)
-                                    if exists(tt):
-                                        out.add(tt)
-                        elif want_sep:
-                            out.add(t)
-    return sorted(out, key=type_sort_key)
+    for variant, eps in zip(_VARIANT_RANK, ("0", "1", "ext")):
+        if bounds.eps not in (None, eps):
+            continue
+        separating = variant is not Variant.NONSEP
+        extended = variant is Variant.SEP_EXT
+        for g in range(bounds.g_max + 1):
+            # separating types have k = g + 1 mod 2
+            ks = range(1 + g % 2, g + 2, 2) if separating else range(g + 1)
+            for n in range(1, bounds.n_max + 1):
+                # sum(|i|) <= n, so no index of an existing type exceeds n
+                cap = min(bounds.abs_i_max, n)
+                values = range(-cap if separating else 0, cap + 1)
+                for k in ks:
+                    xis = range((g - k + 1) // 2 + 1) if extended else (None,)
+                    for idx in _bounded_indices(values, k, n):
+                        for xi in xis:
+                            t = TopType(variant, g, n, idx, xi)
+                            # the extension does not depend on xi
+                            if admits_extension(t) is not extended:
+                                break
+                            if exists(t) and is_normal(t):
+                                yield t
 
 
-def record_for(t: TopType, *, work_limit: int | None = None) -> CensusRecord:
+def record_for(t: TopType) -> CensusRecord:
     """Compute one census record; work-limit failures flag the record."""
     dim = dimension(t)
     chi_h = chi_component(t).value
     try:
-        result = chi_compactification(t, meter=WorkMeter(work_limit))
+        result = chi_compactification(t, meter=WorkMeter())
         return CensusRecord(t, dim, chi_h, result.value,
                             result.graph_count, result.route.value)
     except WorkLimitExceeded as exc:
         return CensusRecord(t, dim, chi_h, None, None, None, str(exc))
 
 
-def sweep(bounds: SweepBounds, *, workers: int = 1,
-          work_limit: int | None = None) -> list[CensusRecord]:
-    """Census of the box, in sort order, one record per existing type."""
+def sweep(bounds: SweepBounds, *, workers: int = 1) -> Iterator[CensusRecord]:
+    """Census of the box, in sort order, one record per existing type.
+
+    Each record is yielded once it and those before it are done, so a
+    sweep that fails partway has already handed out the earlier ones.
+    """
     types = iter_types(bounds)
-    # The pool starts all its processes at once, so it gets no more of
-    # them than there are types or CPUs.
-    workers = min(workers, len(types), os.cpu_count() or 1)
+    if workers > 1:
+        types = list(types)
+        # The pool starts all its processes at once, so it gets no more
+        # of them than there are types or CPUs.
+        workers = min(workers, len(types), os.cpu_count() or 1)
     if workers <= 1:
-        return [record_for(t, work_limit=work_limit) for t in types]
+        yield from map(record_for, types)
+        return
     # Records come back in order, so the output is identical to the
     # sequential one.
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(partial(record_for, work_limit=work_limit),
-                             types))
+        yield from pool.map(record_for, types)
 
 
 def write_jsonl(records, stream) -> int:

@@ -202,8 +202,13 @@ def _cmd_catalog(args) -> int:
     except OSError as exc:
         raise ValueError(f"cannot write {args.out}: {exc.strerror}") from None
     writer = census.write_csv if args.format == "csv" else census.write_jsonl
-    with fh:
-        count = writer(census.sweep(bounds, workers=args.workers), fh)
+    # Each record is written when it is done; writing or closing can
+    # still fail (a full disk), and records written until then remain.
+    try:
+        with fh:
+            count = writer(census.sweep(bounds, workers=args.workers), fh)
+    except OSError as exc:
+        raise ValueError(f"cannot write {args.out}: {exc.strerror}") from None
     if args.json:
         print(json.dumps({"records": count, "path": args.out}))
     else:

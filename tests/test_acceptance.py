@@ -185,7 +185,7 @@ def test_criterion_05_vanishing_index_kills_chi(capsys):
 def test_criterion_06_component_chi_classification(capsys):
     t0 = time.perf_counter()
     problems = []
-    types = iter_types(SweepBounds(3, 5, 3))
+    types = list(iter_types(SweepBounds(3, 5, 3)))
     ones = []
     for t in types:
         r = chi_component(t)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import io
 import json
 import pathlib
+from itertools import product
 
 import pytest
 
@@ -23,10 +24,14 @@ from rmfchi.topotype import (
     MAX_GENUS,
     MAX_SHEETS,
     Variant,
+    admits_extension,
+    exists,
     format_type,
     is_normal,
     nonsep,
     parse_type,
+    sep,
+    sepext,
 )
 
 GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
@@ -123,11 +128,65 @@ def test_worker_count_is_capped(monkeypatch):
 
 
 def test_iter_types_is_sorted_and_existing():
-    types = iter_types(SweepBounds(2, 4, 2))
+    types = list(iter_types(SweepBounds(2, 4, 2)))
     keys = [type_sort_key(t) for t in types]
     assert keys == sorted(keys)
     assert len(set(types)) == len(types)
     assert all(is_normal(t) for t in types)
+
+
+def _types_by_set_and_sort(bounds: SweepBounds) -> list:
+    # The reference listing: every sign-orbit twin normalized, folded in
+    # a set, and the set sorted.
+    out = set()
+    for g in range(bounds.g_max + 1):
+        for n in range(1, bounds.n_max + 1):
+            cap = min(bounds.abs_i_max, n)
+            if bounds.eps in (None, "0"):
+                for k in range(g + 1):
+                    for idx in census._bounded_indices(range(cap + 1), k, n):
+                        if exists(nonsep(g, n, idx)):
+                            out.add(nonsep(g, n, idx))
+            for k in range(1 + g % 2, g + 2, 2):
+                for idx in census._bounded_indices(range(-cap, cap + 1),
+                                                   k, n):
+                    t = sep(g, n, idx)
+                    if not exists(t):
+                        continue
+                    if not admits_extension(t):
+                        if bounds.eps in (None, "1"):
+                            out.add(t)
+                    elif bounds.eps in (None, "ext"):
+                        for xi in range((g - k + 1) // 2 + 1):
+                            if exists(sepext(g, n, idx, xi)):
+                                out.add(sepext(g, n, idx, xi))
+    return sorted(out, key=type_sort_key)
+
+
+def test_iter_types_matches_the_set_and_sort_listing():
+    boxes = 0
+    for eps in (None, "0", "1", "ext"):
+        for bounds in product(range(4), range(1, 7), range(4)):
+            box = SweepBounds(*bounds, eps=eps)
+            assert list(iter_types(box)) == _types_by_set_and_sort(box), box
+            boxes += 1
+    assert boxes == 384
+
+
+def test_sweep_streams_its_records(monkeypatch):
+    # A box with about 2e9 candidate types: the first record must come
+    # out long before the listing is done.
+    calls = []
+
+    def exists_for_a_while(t):
+        calls.append(t)
+        if len(calls) > 100:
+            raise AssertionError("the listing ran ahead of the records")
+        return exists(t)
+
+    monkeypatch.setattr(census, "exists", exists_for_a_while)
+    first = next(sweep(SweepBounds(MAX_GENUS, 2, 0, eps="0")))
+    assert format_type(first.type) == "0,2,0|"
 
 
 def test_index_listing_recursion_does_not_grow_with_the_length():
@@ -151,11 +210,12 @@ def test_extension_refinements_replace_their_base():
 
 def test_eps_filter():
     box = SweepBounds(1, 3, 2)
-    nonseps = iter_types(SweepBounds(1, 3, 2, eps="0"))
-    seps = iter_types(SweepBounds(1, 3, 2, eps="1"))
+    nonseps = list(iter_types(SweepBounds(1, 3, 2, eps="0")))
+    seps = list(iter_types(SweepBounds(1, 3, 2, eps="1")))
     assert all(t.variant is Variant.NONSEP for t in nonseps)
     assert all(t.variant is Variant.SEP for t in seps)
-    assert sorted(nonseps + seps, key=type_sort_key) == iter_types(box)
+    assert sorted(nonseps + seps, key=type_sort_key) \
+        == list(iter_types(box))
 
 
 def test_bounds_validation():
@@ -174,8 +234,9 @@ def test_bounds_validation():
         SweepBounds(0, MAX_SHEETS + 1, 0)
 
 
-def test_work_limit_flags_the_record():
-    rec = record_for(nonsep(2, 5, (1,)), work_limit=20)
+def test_work_limit_flags_the_record(monkeypatch):
+    monkeypatch.setenv("RMF_WORK_LIMIT", "20")
+    rec = record_for(nonsep(2, 5, (1,)))
     assert rec.chi_n is None and rec.graph_count is None and rec.route is None
     assert "work limit" in rec.error
     assert rec.chi_h == 0 and rec.dim == 12
@@ -184,7 +245,7 @@ def test_work_limit_flags_the_record():
 
 
 def test_csv_projection():
-    records = sweep(SweepBounds(g_max=1, n_max=2, abs_i_max=1))
+    records = list(sweep(SweepBounds(g_max=1, n_max=2, abs_i_max=1)))
     buf = io.StringIO()
     count = write_csv(records, buf)
     lines = buf.getvalue().splitlines()
@@ -194,8 +255,9 @@ def test_csv_projection():
     assert '"1,2,1|0,0",True,4,0,0,,ZERO_INDEX,' in lines
 
 
-def test_sweep_respects_work_limit():
-    records = sweep(SweepBounds(2, 5, 1, eps="0"), work_limit=50)
+def test_sweep_respects_work_limit(monkeypatch):
+    monkeypatch.setenv("RMF_WORK_LIMIT", "50")
+    records = list(sweep(SweepBounds(2, 5, 1, eps="0")))
     flagged = [r for r in records if r.error]
     fine = [r for r in records if not r.error]
     assert flagged and fine

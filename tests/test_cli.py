@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import errno
+import io
 import json
+import os
 import pathlib
 import subprocess
 import sys
 
-from rmfchi import census, strata
+from rmfchi import census, cli, strata
 from rmfchi.cli import main
 from rmfchi.decograph import DecoratedGraph, check_nonsep
 from rmfchi.enumerator import GammaMode, enum_nonsep, enum_nonsep_naive
@@ -290,6 +293,35 @@ def test_catalog_unwritable_out_fails_before_the_sweep(tmp_path, capsys,
                  "--abs-i-max", "2", "--out", str(tmp_path)]) == 1
     assert capsys.readouterr().err.startswith(
         f"error: cannot write {tmp_path}")
+
+
+def test_catalog_names_a_write_failure(tmp_path, capsys, monkeypatch):
+    # A full disk fails a write, or only the close that flushes the
+    # buffer; either way the user gets the path and the reason.
+    class FullDisk(io.StringIO):
+        def __init__(self, fail_on):
+            super().__init__()
+            self.fail_on = fail_on
+
+        def write(self, text):
+            if self.fail_on == "write":
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+            return super().write(text)
+
+        def close(self):
+            if self.fail_on == "close":
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+            super().close()
+
+    out = tmp_path / "x.jsonl"
+    for fail_on in ("write", "close"):
+        stream = FullDisk(fail_on)
+        monkeypatch.setattr(cli, "open", lambda *a, **k: stream,
+                            raising=False)
+        assert main(["catalog", "--g-max", "1", "--n-max", "3",
+                     "--abs-i-max", "2", "--out", str(out)]) == 1
+        assert capsys.readouterr() == (
+            "", f"error: cannot write {out}: {os.strerror(errno.ENOSPC)}\n")
 
 
 def test_catalog_rejects_workers_below_one(tmp_path, capsys):
