@@ -101,12 +101,13 @@ def _bounded_indices(values: Sequence[int], k: int, budget: int,
     """Non-decreasing k-tuples from sorted ``values[start:]`` with
     sum(|i|) <= budget.
 
-    Every existing type of degree n has sum(|i|) <= n (see
-    :func:`~rmfchi.topotype.exists`), so with ``budget`` n this lists
-    every candidate that can exist, and only polynomially many tuples
-    where all combinations would be exponentially many in k.  It
-    recurses once per distinct value a tuple uses, so neither k nor the
-    values that take no part deepen the recursion.
+    Every existing type of degree n has sum(|i|) <= n, and n - 2 if it
+    is non-separating (see :func:`~rmfchi.topotype.exists`), so with
+    that budget this lists every candidate that can exist, and only
+    polynomially many tuples where all combinations would be
+    exponentially many in k.  It recurses once per distinct value a
+    tuple uses, so neither k nor the values that take no part deepen
+    the recursion.
     """
     if k == 0:
         yield ()
@@ -117,6 +118,17 @@ def _bounded_indices(values: Sequence[int], k: int, budget: int,
             for rest in _bounded_indices(values, k - count,
                                          budget - count * abs(v), j + 1):
                 yield (v,) * count + rest
+
+
+def _index_counts(g: int, n: int, separating: bool):
+    """The k an existing type can have, in increasing order: k <= g, or
+    k = g + 1 mod 2 for a separating type, whose indices are all nonzero
+    (so k <= n) for n <= 2 but in the all-zero type with n = 2, k = g + 1.
+    """
+    if not separating:
+        return range(g + 1)
+    ks = range(1 + g % 2, (g + 1 if n > 2 else min(g + 1, n)) + 1, 2)
+    return [*ks, g + 1] if n == 2 and g > 1 else ks
 
 
 def iter_types(bounds: SweepBounds) -> Iterator[TopType]:
@@ -136,15 +148,14 @@ def iter_types(bounds: SweepBounds) -> Iterator[TopType]:
         separating = variant is not Variant.NONSEP
         extended = variant is Variant.SEP_EXT
         for g in range(bounds.g_max + 1):
-            # separating types have k = g + 1 mod 2
-            ks = range(1 + g % 2, g + 2, 2) if separating else range(g + 1)
-            for n in range(1, bounds.n_max + 1):
-                # sum(|i|) <= n, so no index of an existing type exceeds n
-                cap = min(bounds.abs_i_max, n)
+            # a non-separating type has sum(i) <= n - 2, so n >= 2
+            for n in range(1 if separating else 2, bounds.n_max + 1):
+                budget = n if separating else n - 2
+                cap = min(bounds.abs_i_max, budget)
                 values = range(-cap if separating else 0, cap + 1)
-                for k in ks:
+                for k in _index_counts(g, n, separating):
                     xis = range((g - k + 1) // 2 + 1) if extended else (None,)
-                    for idx in _bounded_indices(values, k, n):
+                    for idx in _bounded_indices(values, k, budget):
                         for xi in xis:
                             t = TopType(variant, g, n, idx, xi)
                             # the extension does not depend on xi

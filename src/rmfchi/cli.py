@@ -3,8 +3,9 @@
 Types are written ``<g>,<n>,<eps>|<i1>,...,<ik>`` with ``;<xi>``
 appended for extended separating types, e.g. ``1,3,0|1`` or
 ``3,4,1|-1,1;0``.  Results go to stdout, diagnostics to stderr.  Exit
-codes: 0 success, 1 domain error (non-existent type, no graph model,
-bad value, unwritable output), 2 usage error, 3 work limit exceeded.
+codes: 0 success, 1 domain error (any ``ValueError``: a non-existent
+type, a type without a graph model, a bad value, an unwritable output),
+2 usage error, 3 work limit exceeded.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ import json
 import sys
 
 from . import census, strata
-from .decograph import ZeroIndexError
 from .enumerator import (
     FullDegreeError,
     GammaMode,
@@ -26,17 +26,8 @@ from .enumerator import (
     enum_sep,
     enum_sep_naive,
 )
-from .euler import AdmitsExtensionError, chi_compactification, chi_component
-from .topotype import (
-    NonExistentTypeError,
-    NormalizationError,
-    TypeSyntaxError,
-    Variant,
-    dimension,
-    exists,
-    format_type,
-    parse_type,
-)
+from .euler import chi_compactification, chi_component
+from .topotype import Variant, dimension, exists, format_type, parse_type
 
 
 def _cmd_validate(args) -> int:
@@ -106,7 +97,7 @@ def _cmd_graphs(args) -> int:
         counts["count"] = len(graphs)
         if len(rest) != len(graphs):
             counts[other] = len(rest)
-    elif t.variant is Variant.SEP:
+    else:
         enum = enum_sep_naive if args.naive else enum_sep
         try:
             graphs = enum(t, allow_full_degree=args.no_shortcircuit)
@@ -115,9 +106,6 @@ def _cmd_graphs(args) -> int:
                 "full-degree separating types short-circuit to chi=1; "
                 "pass --no-shortcircuit to enumerate anyway") from None
         counts["count"] = len(graphs)
-    else:
-        raise ZeroIndexError(
-            "extended separating types have no graph model")
     if args.format == "dot":
         print(f"// type={format_type(t)}")
         for name, value in counts.items():
@@ -292,9 +280,7 @@ def main(argv=None) -> int:
     except WorkLimitExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (TypeSyntaxError, NormalizationError, NonExistentTypeError,
-            ZeroIndexError, FullDegreeError, AdmitsExtensionError,
-            ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

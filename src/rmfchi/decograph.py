@@ -360,11 +360,20 @@ def _common_root_violations(g: DecoratedGraph, degs: list[int]
     return out
 
 
-def _require_graph_model(t: TopType):
-    """Raise unless the type exists and has no zero index.
+def _require_graph_model(t: TopType, variant: Variant):
+    """Raise unless the type has a graph model of the given variant.
 
-    The graph model says nothing about zero indices.
+    Every graph census and checker calls this one guard.  In order: an
+    extended type has no graph model, a type of the other variant is
+    refused, a non-existent type raises :class:`NonExistentTypeError`,
+    and a zero index :class:`ZeroIndexError`, since the graph model
+    says nothing about zero indices.
     """
+    if t.variant is Variant.SEP_EXT:
+        raise ValueError("extended separating types have no graph model")
+    if t.variant is not variant:
+        needed = "separating" if variant is Variant.SEP else "non-separating"
+        raise ValueError(f"this graph model needs a {needed} type")
     require_exists(t)
     if any(i == 0 for i in t.indices):
         raise ZeroIndexError(f"graph model undefined for {t.indices}")
@@ -376,9 +385,7 @@ def check_nonsep(g: DecoratedGraph, t: TopType,
 
     Requires an existing type with every index at least 1.
     """
-    if t.variant is not Variant.NONSEP:
-        raise ValueError("check_nonsep needs a non-separating type")
-    _require_graph_model(t)
+    _require_graph_model(t, Variant.NONSEP)
 
     incident = _incidence(g)
     degs = [len(at) for at in incident]
@@ -432,9 +439,7 @@ def check_sep(g: DecoratedGraph, t: TopType) -> ViolationList:
     are signed: a white root represents -zeta_E of its edge, a black
     root +zeta_E.
     """
-    if t.variant is not Variant.SEP:
-        raise ValueError("check_sep needs a separating type")
-    _require_graph_model(t)
+    _require_graph_model(t, Variant.SEP)
 
     incident = _incidence(g)
     degs = [len(at) for at in incident]

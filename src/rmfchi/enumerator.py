@@ -135,7 +135,7 @@ class EnumerationBounds:
 
 def bounds_for(t: TopType) -> EnumerationBounds:
     """Search bounds for an existing type with a graph model."""
-    _require_graph_model(t)
+    _require_graph_model(t, t.variant)
     if t.variant is Variant.NONSEP:
         roots = tuple(sorted(t.indices))
         return EnumerationBounds(
@@ -145,16 +145,14 @@ def bounds_for(t: TopType) -> EnumerationBounds:
             black_root_weights=roots,
             balanced=True,
         )
-    if t.variant is Variant.SEP:
-        total_abs = sum(abs(i) for i in t.indices)
-        return EnumerationBounds(
-            edge_weight_sum=(t.n + total_abs) // 2,
-            genus_budget=(t.g - t.k + 1) // 2,
-            white_root_weights=tuple(sorted(-i for i in t.indices if i < 0)),
-            black_root_weights=tuple(sorted(i for i in t.indices if i > 0)),
-            balanced=False,
-        )
-    raise ValueError("extended types have no graph model")
+    total_abs = sum(abs(i) for i in t.indices)
+    return EnumerationBounds(
+        edge_weight_sum=(t.n + total_abs) // 2,
+        genus_budget=(t.g - t.k + 1) // 2,
+        white_root_weights=tuple(sorted(-i for i in t.indices if i < 0)),
+        black_root_weights=tuple(sorted(i for i in t.indices if i > 0)),
+        balanced=False,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -287,8 +285,8 @@ def _degrees_can_pair(row_sums, colsums, spare: int) -> bool:
     """Whether the column sums can still end up equal to the row sums.
 
     A placed row's sum is final, and column sums only grow, by ``spare``
-    in all.  So every row sum needs a column of its own whose sum is no
-    larger now, and the shortfalls must fit in ``spare``.  Taking the
+    in all.  So every row sum must have a column of its own whose sum is
+    no larger now, and the shortfalls must fit in ``spare``.  Taking the
     rows largest first, each with the largest column sum it allows,
     leaves the smallest shortfall.  When every row of a square matrix
     is placed and nothing is spare, this is the test that the two
@@ -593,10 +591,10 @@ def _existence_projection(as_data: list[DecoratedGraph]
 def _require_sep_census(t: TopType, allow_full_degree: bool):
     """Raise unless a separating census of the type may run.
 
-    The type needs a graph model; a full-degree type has a closed form
-    and is enumerated only when the caller asks for it.
+    The type must have a separating graph model; a full-degree type has
+    a closed form and is enumerated only when the caller asks for it.
     """
-    _require_graph_model(t)
+    _require_graph_model(t, Variant.SEP)
     if has_full_degree(t) and not allow_full_degree:
         raise FullDegreeError(
             "full-degree separating types are a closed form; "
@@ -615,8 +613,7 @@ def enum_nonsep(t: TopType, *, gamma_mode: GammaMode = GammaMode.AS_DATA,
     :func:`_existence_projection` of the AS_DATA list, whose graphs of
     one underlying graph all share its one labelled plain graph.
     """
-    if t.variant is not Variant.NONSEP:
-        raise ValueError("enum_nonsep needs a non-separating type")
+    _require_graph_model(t, Variant.NONSEP)
     meter = meter or WorkMeter()
     bounds = bounds_for(t)
     found: dict[bytes, DecoratedGraph] = {}
@@ -635,8 +632,6 @@ def enum_sep(t: TopType, *, allow_full_degree: bool = False,
     Full-degree types (sum |i| = n) have a closed-form answer and are
     rejected unless ``allow_full_degree`` asks for the actual census.
     """
-    if t.variant is not Variant.SEP:
-        raise ValueError("enum_sep needs a separating type")
     _require_sep_census(t, allow_full_degree)
     meter = meter or WorkMeter()
     found = {key: g for key, _, g in _plain_classes(bounds_for(t), meter)}
@@ -794,9 +789,7 @@ def enum_nonsep_naive(t: TopType, *,
     In EXISTENCE mode a graph keeps the first gamma admitted, where
     :func:`enum_nonsep` keeps the one with the smallest canonical key.
     """
-    if t.variant is not Variant.NONSEP:
-        raise ValueError("enum_nonsep_naive needs a non-separating type")
-    _require_graph_model(t)
+    _require_graph_model(t, Variant.NONSEP)
     meter = meter or WorkMeter()
 
     def structural_ok(g: DecoratedGraph) -> bool:
@@ -830,8 +823,6 @@ def enum_nonsep_naive(t: TopType, *,
 def enum_sep_naive(t: TopType, *, allow_full_degree: bool = False,
                    meter: WorkMeter | None = None) -> list[DecoratedGraph]:
     """Brute-force census of separating graphs; small types only."""
-    if t.variant is not Variant.SEP:
-        raise ValueError("enum_sep_naive needs a separating type")
     _require_sep_census(t, allow_full_degree)
     meter = meter or WorkMeter()
     return _bucket(_naive_plain_graphs(t, lambda g: check_sep(g, t).ok,

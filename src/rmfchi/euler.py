@@ -4,8 +4,8 @@ For the open component H the answer is a closed form: chi is 1 for the
 contractible genus-zero cases and 0 everywhere else.  For the
 compactification N the cell contributions of the boundary cancel
 against each other except for one unit per decorated graph, so chi(N)
-is a graph count; the cases where no graph model applies (a vanishing
-index, full degree, or an extended type) again have closed forms.
+is a graph count; the cases outside the graph model (a vanishing index,
+full degree, or an extended type) again have closed forms.
 Every result carries a route tag naming the rule that produced it.
 """
 

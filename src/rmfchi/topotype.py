@@ -256,7 +256,7 @@ def exists(t: TopType) -> ExistenceReport:
 
 
 class NonExistentTypeError(ValueError):
-    """Raised when an operation needs an existing type and got none."""
+    """Raised when an operation requires an existing type and got none."""
 
     def __init__(self, t: TopType, report: ExistenceReport):
         super().__init__(

@@ -164,13 +164,17 @@ def _types_by_set_and_sort(bounds: SweepBounds) -> list:
 
 
 def test_iter_types_matches_the_set_and_sort_listing():
+    # The high-genus, low-degree boxes are where the listing bounds k
+    # and the index budget more tightly than the reference does.
+    high_g_low_n = [(40, n, i) for n in (1, 2) for i in (0, 1, 2)]
     boxes = 0
     for eps in (None, "0", "1", "ext"):
-        for bounds in product(range(4), range(1, 7), range(4)):
+        for bounds in [*product(range(4), range(1, 7), range(4)),
+                       *high_g_low_n]:
             box = SweepBounds(*bounds, eps=eps)
             assert list(iter_types(box)) == _types_by_set_and_sort(box), box
             boxes += 1
-    assert boxes == 384
+    assert boxes == 408
 
 
 def test_sweep_streams_its_records(monkeypatch):
@@ -187,6 +191,21 @@ def test_sweep_streams_its_records(monkeypatch):
     monkeypatch.setattr(census, "exists", exists_for_a_while)
     first = next(sweep(SweepBounds(MAX_GENUS, 2, 0, eps="0")))
     assert format_type(first.type) == "0,2,0|"
+
+
+def test_listing_tests_only_types_within_the_existence_bounds(monkeypatch):
+    # With n = 1 no non-separating type exists, a separating one has
+    # k <= 1, and with |i| <= 0 the box holds no type at all; a listing
+    # that gives every k <= g a budget of n tests about 1.2e5 types.
+    calls = []
+
+    def counted_exists(t):
+        calls.append(t)
+        return exists(t)
+
+    monkeypatch.setattr(census, "exists", counted_exists)
+    assert list(iter_types(SweepBounds(400, 1, 0))) == []
+    assert len(calls) < 1000
 
 
 def test_index_listing_recursion_does_not_grow_with_the_length():

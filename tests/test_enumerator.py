@@ -14,7 +14,7 @@ from oracle_keys import criterion_8_types, digest_lines
 from test_acceptance import _graph_model_types
 
 from rmfchi import decograph, enumerator
-from rmfchi.cli import main
+from rmfchi.cli import build_parser, main
 from rmfchi.decograph import (
     Color,
     DecoratedGraph,
@@ -113,6 +113,48 @@ def test_enumeration_guards():
         enum_sep(nonsep(1, 3, (1,)))
     with pytest.raises(ValueError):
         bounds_for(sepext(3, 4, (-1, 1), 0))
+
+
+def _graphs_command(t):
+    args = build_parser().parse_args(["graphs", format_type(t)])
+    return args.func(args)
+
+
+def test_one_guard_answers_every_graph_model_entry_point():
+    # Every entry point that needs a graph model answers each type
+    # outside its domain with the same exception class.  bounds_for and
+    # `rmfchi graphs` take either variant, so they have no wrong one.
+    nonsep_graph = enum_nonsep(nonsep(1, 3, (1,)))[0]
+    sep_graph = enum_sep(sep(3, 6, (1, -1)))[0]
+    extended = sepext(3, 4, (-1, 1), 0)
+    nonsep_side = {"other": sep(1, 3, (1, 2)), "missing": nonsep(0, 3, (3,)),
+                   "zero": nonsep(2, 4, (0, 2))}
+    sep_side = {"other": nonsep(1, 3, (1,)), "missing": sep(0, 4, (1,)),
+                "zero": sep(1, 2, (0, 0))}
+    entry_points = [
+        (enum_nonsep, nonsep_side),
+        (enum_nonsep_naive, nonsep_side),
+        (lambda t: check_nonsep(nonsep_graph, t), nonsep_side),
+        (enum_sep, sep_side),
+        (enum_sep_naive, sep_side),
+        (lambda t: check_sep(sep_graph, t), sep_side),
+        (bounds_for, nonsep_side),
+        (bounds_for, sep_side),
+        (_graphs_command, nonsep_side),
+        (_graphs_command, sep_side),
+    ]
+    expected = {"extended": ValueError, "other": ValueError,
+                "missing": NonExistentTypeError, "zero": ZeroIndexError}
+    for call, side in entry_points:
+        either_variant = call in (bounds_for, _graphs_command)
+        for case, t in [("extended", extended), *side.items()]:
+            if case == "other" and either_variant:
+                continue
+            with pytest.raises(ValueError) as info:
+                call(t)
+            assert type(info.value) is expected[case], (call, case)
+            if case == "extended":
+                assert "no graph model" in str(info.value), call
 
 
 def test_bounds():
