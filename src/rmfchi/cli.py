@@ -137,43 +137,41 @@ def _cmd_verify_cells(args) -> int:
     if not 0 <= args.max_s <= strata.MAX_CHAIN:
         raise ValueError(
             f"--max-s must satisfy 0 <= --max-s <= {strata.MAX_CHAIN}")
-    # One complex per parameter gives its cell count and its chi, and
-    # is dropped before the next is built; the cover product reads the
-    # s = 0 factor as 1.
+    # One check per complex; each complex is dropped before the next is
+    # built.  The first complex of a family has chi 1, the others 0.
     def count_and_chi(cells) -> tuple[int, int]:
         return len(cells), strata.alternating_sum(cells)
 
-    real = [count_and_chi(strata.cells_real(k))
-            for k in range(args.max_s + 1)]
-    lam = [count_and_chi(strata.cells_lambda(s))
-           for s in range(1, args.max_s + 1)]
-    chi_real = [chi for _, chi in real]
-    chi_lambda = [1] + [chi for _, chi in lam]
+    def ok(c) -> bool:
+        return (c["cells"] == c["cells_expected"]
+                and c["chi"] == c["chi_expected"])
+
     checks = []
-    for k, (cells, chi) in enumerate(real):
-        checks.append(("real", k, cells, 1 if k == 0 else 2,
-                       chi, 1 if k == 0 else 0))
-    for s, (cells, chi) in enumerate(lam, 1):
-        checks.append(("lambda", s, cells, 1 << (s - 1),
-                       chi, 1 if s == 1 else 0))
-    cover_ok = all(chi_real[r] * chi_lambda[s]
+    for family, build, first, cells_expected in (
+            ("real", strata.cells_real, 0, lambda k: 1 if k == 0 else 2),
+            ("lambda", strata.cells_lambda, 1, lambda s: 1 << (s - 1))):
+        for param in range(first, args.max_s + 1):
+            count, chi = count_and_chi(build(param))
+            checks.append({"family": family, "param": param, "cells": count,
+                           "cells_expected": cells_expected(param),
+                           "chi": chi, "chi_expected": int(param == first)})
+    # The cover product reads the s = 0 factor as 1.
+    chi_of = {(c["family"], c["param"]): c["chi"] for c in checks}
+    chi_of["lambda", 0] = 1
+    cover_ok = all(chi_of["real", r] * chi_of["lambda", s]
                    == (1 if r == 0 and s <= 1 else 0)
                    for r in range(args.max_s + 1)
                    for s in range(args.max_s + 1))
-    all_ok = cover_ok and all(c[2] == c[3] and c[4] == c[5] for c in checks)
+    all_ok = cover_ok and all(map(ok, checks))
     if args.json:
-        print(json.dumps({
-            "ok": all_ok,
-            "cover_ok": cover_ok,
-            "checks": [{"family": c[0], "param": c[1], "cells": c[2],
-                        "cells_expected": c[3], "chi": c[4],
-                        "chi_expected": c[5]} for c in checks],
-        }))
+        print(json.dumps({"ok": all_ok, "cover_ok": cover_ok,
+                          "checks": checks}))
         return 0 if all_ok else 1
-    for family, param, cells, want_cells, got, expect in checks:
-        ok = "ok" if (cells == want_cells and got == expect) else "FAIL"
-        print(f"{family} {('k' if family == 'real' else 's')}={param} "
-              f"cells={cells}/{want_cells} chi={got}/{expect} {ok}")
+    for c in checks:
+        print(f"{c['family']} {'k' if c['family'] == 'real' else 's'}="
+              f"{c['param']} cells={c['cells']}/{c['cells_expected']} "
+              f"chi={c['chi']}/{c['chi_expected']} "
+              + ("ok" if ok(c) else "FAIL"))
     print(f"cover table r,s<={args.max_s} "
           + ("ok" if cover_ok else "FAIL"))
     return 0 if all_ok else 1
@@ -184,16 +182,12 @@ def _cmd_catalog(args) -> int:
                                 args.eps)
     if args.workers < 1:
         raise ValueError("--workers must be >= 1")
-    # The output is opened before the sweep, so a bad path fails at once.
-    try:
-        fh = open(args.out, "w", encoding="utf-8")
-    except OSError as exc:
-        raise ValueError(f"cannot write {args.out}: {exc.strerror}") from None
     writer = census.write_csv if args.format == "csv" else census.write_jsonl
+    # The output is opened before the sweep, so a bad path fails at once.
     # Each record is written when it is done; writing or closing can
     # still fail (a full disk), and records written until then remain.
     try:
-        with fh:
+        with open(args.out, "w", encoding="utf-8") as fh:
             count = writer(census.sweep(bounds, workers=args.workers), fh)
     except OSError as exc:
         raise ValueError(f"cannot write {args.out}: {exc.strerror}") from None

@@ -72,25 +72,22 @@ class FullDegreeError(ValueError):
 
 
 class WorkMeter:
-    """Counts generated objects and aborts past the limit."""
+    """Counts generated objects and aborts past ``RMF_WORK_LIMIT``."""
 
-    def __init__(self, limit: int | None = None):
-        if limit is None:
-            text = os.environ.get(WORK_LIMIT_ENV, str(DEFAULT_WORK_LIMIT))
-            try:
-                limit = int(text)
-            except ValueError:
-                limit = 0
-            if limit < 1:
-                raise ValueError(f"{WORK_LIMIT_ENV} must be an integer >= 1, "
-                                 f"got {text!r}")
-        elif limit < 1:
-            raise ValueError("work limit must be >= 1")
+    def __init__(self):
+        text = os.environ.get(WORK_LIMIT_ENV, str(DEFAULT_WORK_LIMIT))
+        try:
+            limit = int(text)
+        except ValueError:
+            limit = 0
+        if limit < 1:
+            raise ValueError(f"{WORK_LIMIT_ENV} must be an integer >= 1, "
+                             f"got {text!r}")
         self.limit = limit
         self.used = 0
 
-    def tick(self, amount: int = 1):
-        self.used += amount
+    def tick(self):
+        self.used += 1
         if self.used > self.limit:
             raise WorkLimitExceeded(
                 f"work limit {self.limit} exceeded; raise {WORK_LIMIT_ENV} "

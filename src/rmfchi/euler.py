@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .decograph import ZeroIndexError
 from .enumerator import GammaMode, WorkMeter, enum_nonsep, enum_sep
 from .topotype import (TopType, Variant, admits_extension, has_full_degree,
                        require_exists)
@@ -67,10 +66,8 @@ def chi_component(t: TopType) -> ChiResult:
         if t.g == 0:
             return ChiResult(1, Route.COMPONENT_G0)
         return ChiResult(0, Route.COMPONENT_ZERO)
-    if t.variant is Variant.SEP:
-        if t.g == 0 and has_full_degree(t):
-            return ChiResult(1, Route.COMPONENT_G0)
-        return ChiResult(0, Route.COMPONENT_ZERO)
+    if t.variant is Variant.SEP and t.g == 0 and has_full_degree(t):
+        return ChiResult(1, Route.COMPONENT_G0)
     return ChiResult(0, Route.COMPONENT_ZERO)
 
 
@@ -110,7 +107,6 @@ __all__ = [
     "AdmitsExtensionError",
     "ChiResult",
     "Route",
-    "ZeroIndexError",
     "chi_compactification",
     "chi_component",
 ]

@@ -1,12 +1,13 @@
 """The brute-force oracle beyond the tier-1 suite, and its frozen outputs.
 
 Criterion 8 compares the fast census with the naive one on the 44
-graph-model types of g<=2, n<=5, |i|<=3.  With no argument, this script
-makes the same comparison on the 22 graph-model types of g<=2, n<=6,
-|i|<=3 that lie outside that box (those with n = 6).  It prints one
-line per type and gamma convention (type, convention, both counts,
-``ok`` or ``MISMATCH``) and exits 1 if the sorted canonical keys of a
-pair differ::
+graph-model types of g<=2, n<=5, |i|<=3, in all four gamma conventions
+(existence with gammas of any order included, compared as below).
+With no argument, this script makes the same comparison on the 22
+graph-model types of g<=2, n<=6, |i|<=3 that lie outside that box
+(those with n = 6).  It prints one line per type and gamma convention
+(type, convention, both counts, ``ok`` or ``MISMATCH``) and exits 1 if
+the sorted canonical keys of a pair differ::
 
     PYTHONPATH=src python tests/oracle_keys.py
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import contextlib
 import errno
 import io
 import json
@@ -24,6 +25,8 @@ SEP_GRAPHS_GOLDEN = (pathlib.Path(__file__).parent / "golden"
                      / "graphs_sep.jsonl")
 HIGH_GENUS_GOLDEN = (pathlib.Path(__file__).parent / "golden"
                      / "catalog_g20_n3_i3.jsonl")
+VERIFY_CELLS_GOLDEN = (pathlib.Path(__file__).parent / "golden"
+                       / "verify_cells.txt")
 
 
 def test_validate(capsys):
@@ -196,6 +199,27 @@ def test_verify_cells(capsys):
     assert main(["verify-cells", "--json"]) == 0
     data = json.loads(capsys.readouterr().out)
     assert data["ok"] is True and data["cover_ok"] is True
+
+
+def _verify_cells_transcript() -> str:
+    """Stdout and exit code of ``verify-cells`` for every admitted bound.
+
+    Both formats, ``--max-s`` 0 to ``strata.MAX_CHAIN``; this is how
+    ``tests/golden/verify_cells.txt`` was written.
+    """
+    out = io.StringIO()
+    for max_s in range(strata.MAX_CHAIN + 1):
+        for extra in ([], ["--json"]):
+            argv = ["verify-cells", "--max-s", str(max_s), *extra]
+            out.write(f"$ rmfchi {' '.join(argv)}\n")
+            with contextlib.redirect_stdout(out):
+                code = main(argv)
+            out.write(f"exit={code}\n")
+    return out.getvalue()
+
+
+def test_verify_cells_matches_golden():
+    assert _verify_cells_transcript() == VERIFY_CELLS_GOLDEN.read_text()
 
 
 def test_verify_cells_builds_each_complex_once(capsys, monkeypatch):

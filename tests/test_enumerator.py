@@ -322,7 +322,7 @@ def test_pruned_shapes_are_the_filtered_ones():
                             == sorted(map(sum, zip(*mat)))]
 
 
-def test_shape_search_stays_pruned():
+def test_shape_search_stays_pruned(monkeypatch):
     # Before rows were pruned by column order and root demand this
     # census completed 152,311 matrices; it took 7,310 ticks before
     # connectivity was decided row by row, and 2,211 before shapes and
@@ -330,7 +330,8 @@ def test_shape_search_stays_pruned():
     # be swapped, and 1,020 before twin rows and columns were decorated
     # in order.  The limit is work, not time, so a slide back to
     # wasteful generation fails on any machine.
-    meter = WorkMeter(limit=913)
+    monkeypatch.setenv("RMF_WORK_LIMIT", "913")
+    meter = WorkMeter()
     graphs = enum_nonsep(nonsep(2, 8, (1, 1)), meter=meter)
     assert len(graphs) == 17
     assert meter.used == 913
@@ -515,18 +516,22 @@ def test_work_meter(monkeypatch):
     assert meter.limit == DEFAULT_WORK_LIMIT
     monkeypatch.setenv("RMF_WORK_LIMIT", "17")
     assert WorkMeter().limit == 17
+    monkeypatch.setenv("RMF_WORK_LIMIT", "20")
     with pytest.raises(WorkLimitExceeded):
-        enum_nonsep(nonsep(2, 5, (1,)), meter=WorkMeter(limit=20))
+        enum_nonsep(nonsep(2, 5, (1,)), meter=WorkMeter())
     # The oracle charges one tick per core and one per candidate: the
     # limit binds at exactly the work an unlimited run reports.
     t = sep(1, 5, (1, 2))
-    meter = WorkMeter(limit=DEFAULT_WORK_LIMIT)
+    monkeypatch.setenv("RMF_WORK_LIMIT", str(DEFAULT_WORK_LIMIT))
+    meter = WorkMeter()
     graphs = enum_sep_naive(t, meter=meter)
     used = meter.used
     assert used >= 2
+    monkeypatch.setenv("RMF_WORK_LIMIT", str(used - 1))
     with pytest.raises(WorkLimitExceeded):
-        enum_sep_naive(t, meter=WorkMeter(limit=used - 1))
-    assert enum_sep_naive(t, meter=WorkMeter(limit=used)) == graphs
+        enum_sep_naive(t, meter=WorkMeter())
+    monkeypatch.setenv("RMF_WORK_LIMIT", str(used))
+    assert enum_sep_naive(t, meter=WorkMeter()) == graphs
 
 
 def test_deterministic():
