@@ -6,19 +6,22 @@ separating types by their extended refinements, and computes dimension
 and both Euler characteristics per record.  Records are emitted in a
 fixed total order and serialize byte-identically regardless of worker
 count, so catalog files diff cleanly.
+
+The worker pool and the CSV writer import their modules only when they
+run, so a sequential sweep never loads ``multiprocessing``.
 """
 
 from __future__ import annotations
 
-import csv
 import json
 import os
+from collections import deque
 from collections.abc import Iterator, Sequence
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from itertools import chain, islice
 
 from .enumerator import WorkLimitExceeded, WorkMeter
-from .euler import chi_compactification, chi_component
+from .euler import chi_compactification, chi_component, closed_form
 from .topotype import (
     MAX_GENUS,
     MAX_SHEETS,
@@ -32,6 +35,13 @@ from .topotype import (
 )
 
 _VARIANT_RANK = {Variant.NONSEP: 0, Variant.SEP: 1, Variant.SEP_EXT: 2}
+
+# Graph counts a pooled sweep keeps in flight per worker process: enough
+# that a worker finds its next job queued when it finishes one.
+_IN_FLIGHT_PER_WORKER = 4
+# Records a pooled sweep holds behind an unfinished one (about 400 bytes
+# each), and types it reads ahead to size its pool.
+_QUEUE_LIMIT = 4096
 
 
 @dataclass(frozen=True)
@@ -182,20 +192,171 @@ def sweep(bounds: SweepBounds, *, workers: int = 1) -> Iterator[CensusRecord]:
 
     Each record is yielded once it and those before it are done, so a
     sweep that fails partway has already handed out the earlier ones.
+    With more than one worker (and CPU), graph counts run in worker
+    processes and closed forms in this one.
     """
-    types = iter_types(bounds)
-    if workers > 1:
-        types = list(types)
-        # The pool starts all its processes at once, so it gets no more
-        # of them than there are types or CPUs.
-        workers = min(workers, len(types), os.cpu_count() or 1)
+    workers = min(workers, os.cpu_count() or 1)
     if workers <= 1:
-        yield from map(record_for, types)
-        return
-    # Records come back in order, so the output is identical to the
-    # sequential one.
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        yield from pool.map(record_for, types)
+        yield from map(record_for, iter_types(bounds))
+    else:
+        yield from _pooled(iter_types(bounds), workers)
+
+
+def _pooled(types: Iterator[TopType],
+            workers: int) -> Iterator[CensusRecord]:
+    """Records of ``types`` in order, graph counts run by a :class:`_Pool`.
+
+    A type whose chi(N) has a closed form is recorded here at once; a
+    graph count becomes a numbered job, with at most
+    ``_IN_FLIGHT_PER_WORKER`` jobs per worker unfinished.  The queue
+    holds records and job numbers in list order, and its head is handed
+    out as soon as it is done; a job's exception is raised there.  The
+    pool starts at the first graph count, with no more workers than the
+    graph counts among it and the next ``_QUEUE_LIMIT`` types, and it is
+    shut down however the sweep ends.
+    """
+    queue: deque = deque()
+    done: dict[int, CensusRecord | Exception] = {}
+    jobs = unfinished = 0
+    pool = None
+
+    def receive(block: bool) -> None:
+        nonlocal unfinished
+        for job, outcome in pool.finished(block):
+            done[job] = outcome
+            unfinished -= 1
+
+    def head() -> CensusRecord:
+        entry = queue.popleft()
+        if isinstance(entry, CensusRecord):
+            return entry
+        while entry not in done:
+            receive(block=True)
+        outcome = done.pop(entry)
+        if isinstance(outcome, Exception):
+            raise outcome
+        return outcome
+
+    try:
+        while (t := next(types, None)) is not None:
+            if len(queue) >= _QUEUE_LIMIT:
+                yield head()
+            if closed_form(t) is not None:
+                queue.append(record_for(t))
+            else:
+                if pool is None:
+                    ahead, size = [], 1
+                    for u in islice(types, _QUEUE_LIMIT):
+                        ahead.append(u)
+                        size += closed_form(u) is None
+                        if size == workers:
+                            break
+                    types = chain(ahead, types)
+                    pool = _Pool(size)
+                    window = _IN_FLIGHT_PER_WORKER * size
+                while unfinished >= window:
+                    receive(block=True)
+                pool.submit(jobs, t)
+                queue.append(jobs)
+                jobs += 1
+                unfinished += 1
+            if unfinished:
+                receive(block=False)
+            while queue and (isinstance(queue[0], CensusRecord)
+                             or queue[0] in done):
+                yield head()
+        while queue:
+            yield head()
+    finally:
+        if pool is not None:
+            pool.shutdown()
+
+
+class _Pool:
+    """Worker processes that compute records, fed and drained by the
+    thread that owns them, with no helper thread.
+
+    Numbered jobs go out on one shared queue, which an idle worker takes
+    from, and each worker sends ``(job, record or exception)`` back on
+    its own pipe.  The pools of ``concurrent.futures`` and
+    ``multiprocessing.Pool`` run helper threads in this process, which
+    take the interpreter lock from the thread that lists types and
+    writes records for every job they pass on; that made two workers
+    slower than one on boxes of cheap records.  Waiting uses
+    ``select.poll``, so the pool needs a POSIX host.
+    """
+
+    def __init__(self, size: int):
+        import multiprocessing
+        import select
+
+        # The platform's start method, as concurrent.futures would use.
+        # Forking is unsafe only in a process that runs threads, and the
+        # pool runs none; "spawn" re-runs the caller's main module in each
+        # worker, which fails for a script read from stdin.
+        context = multiprocessing.get_context()
+        self.tasks = context.SimpleQueue()
+        self.workers = []
+        self.pipes = {}
+        self.poller = select.poll()
+        self.readable = select.POLLIN
+        try:
+            for _ in range(size):
+                pipe, worker_end = context.Pipe(duplex=False)
+                self.pipes[pipe.fileno()] = pipe
+                worker = context.Process(target=_serve, daemon=True,
+                                         args=(self.tasks, worker_end))
+                worker.start()
+                worker_end.close()
+                self.workers.append(worker)
+                self.poller.register(pipe, self.readable)
+                self.poller.register(worker.sentinel, self.readable)
+        except BaseException:
+            self.shutdown()
+            raise
+
+    def submit(self, job: int, t: TopType) -> None:
+        self.tasks.put((job, t))
+
+    def finished(self, block: bool) -> list[tuple]:
+        """The ``(job, outcome)`` pairs sent back so far; with
+        ``block``, at least one."""
+        out = []
+        timeout = None if block else 0
+        while ready := self.poller.poll(timeout):
+            for fd, event in ready:
+                # a worker's sentinel, or its pipe closed with nothing left
+                if fd not in self.pipes or not event & self.readable:
+                    raise RuntimeError("a census worker process exited")
+                out.append(self.pipes[fd].recv())
+            timeout = 0
+        return out
+
+    def shutdown(self) -> None:
+        for worker in self.workers:
+            worker.terminate()
+        for worker in self.workers:
+            worker.join()
+            worker.close()
+        for pipe in self.pipes.values():
+            pipe.close()
+        self.tasks.close()
+
+
+def _serve(tasks, results) -> None:
+    """A worker's loop: the record of each ``(job, type)`` it takes, sent
+    back with the job number.  A failure goes back as a RuntimeError
+    that carries the worker's traceback, since not every exception
+    survives pickling."""
+    while True:
+        job, t = tasks.get()
+        try:
+            outcome = record_for(t)
+        except Exception:
+            import traceback
+            outcome = RuntimeError(f"the record of {format_type(t)} failed "
+                                   f"in a worker:\n{traceback.format_exc()}")
+        results.send((job, outcome))
 
 
 def write_jsonl(records, stream) -> int:
@@ -214,6 +375,7 @@ CSV_COLUMNS = ("type", "exists", "dim", "chi_h", "chi_n", "graph_count",
 
 def write_csv(records, stream) -> int:
     """CSV projection of the same fields; empty cells for nulls."""
+    import csv
     writer = csv.writer(stream, lineterminator="\n")
     writer.writerow(CSV_COLUMNS)
     count = 0

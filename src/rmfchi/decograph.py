@@ -363,11 +363,12 @@ def _common_root_violations(g: DecoratedGraph, degs: list[int]
 def _require_graph_model(t: TopType, variant: Variant):
     """Raise unless the type has a graph model of the given variant.
 
-    Every graph census and checker calls this one guard.  In order: an
-    extended type has no graph model, a type of the other variant is
-    refused, a non-existent type raises :class:`NonExistentTypeError`,
-    and a zero index :class:`ZeroIndexError`, since the graph model
-    says nothing about zero indices.
+    Every graph census and checker calls this one guard, a census once
+    for all the graphs it builds and checks.  In order: an extended
+    type has no graph model, a type of the other variant is refused, a
+    non-existent type raises :class:`NonExistentTypeError`, and a zero
+    index :class:`ZeroIndexError`, since the graph model says nothing
+    about zero indices.
     """
     if t.variant is Variant.SEP_EXT:
         raise ValueError("extended separating types have no graph model")
@@ -386,7 +387,13 @@ def check_nonsep(g: DecoratedGraph, t: TopType,
     Requires an existing type with every index at least 1.
     """
     _require_graph_model(t, Variant.NONSEP)
+    return _nonsep_violations(g, t, involution)
 
+
+def _nonsep_violations(g: DecoratedGraph, t: TopType,
+                       involution: bool = True) -> ViolationList:
+    """:func:`check_nonsep` after its guard, for a census that has run
+    the guard once for all its graphs."""
     incident = _incidence(g)
     degs = [len(at) for at in incident]
     out = []
@@ -440,7 +447,12 @@ def check_sep(g: DecoratedGraph, t: TopType) -> ViolationList:
     root +zeta_E.
     """
     _require_graph_model(t, Variant.SEP)
+    return _sep_violations(g, t)
 
+
+def _sep_violations(g: DecoratedGraph, t: TopType) -> ViolationList:
+    """:func:`check_sep` after its guard, for a census that has run the
+    guard once for all its graphs."""
     incident = _incidence(g)
     degs = [len(at) for at in incident]
     out = []

@@ -46,12 +46,14 @@ from .decograph import (
     Vertex,
     _encode,
     _gamma_classes,
+    _nonsep_violations,
     _require_graph_model,
     _search,
+    _sep_violations,
     _vertex_invariant,
     canonical_key,  # not called here; censusbench/tracer.py rebinds it
-    check_nonsep,
-    check_sep,
+    check_nonsep,  # not called here; censusbench/tracer.py rebinds it
+    check_sep,  # not called here; censusbench/tracer.py rebinds it
     find_gammas,  # not called here; censusbench/tracer.py rebinds it
     gamma_violations,
     relabel,
@@ -133,6 +135,11 @@ class EnumerationBounds:
 def bounds_for(t: TopType) -> EnumerationBounds:
     """Search bounds for an existing type with a graph model."""
     _require_graph_model(t, t.variant)
+    return _bounds(t)
+
+
+def _bounds(t: TopType) -> EnumerationBounds:
+    """:func:`bounds_for` after its guard."""
     if t.variant is Variant.NONSEP:
         roots = tuple(sorted(t.indices))
         return EnumerationBounds(
@@ -552,10 +559,13 @@ def _plain_classes(bounds: EnumerationBounds, meter: WorkMeter):
 
 def _checked(t: TopType, graphs: list[DecoratedGraph],
              involution: bool = True) -> list[DecoratedGraph]:
-    """The census output, once every graph has passed its checker."""
+    """The census output, once every graph has passed its checker.
+
+    The census has run the type guard, so the checkers' cores run here.
+    """
     for g in graphs:
-        report = (check_nonsep(g, t, involution)
-                  if t.variant is Variant.NONSEP else check_sep(g, t))
+        report = (_nonsep_violations(g, t, involution)
+                  if t.variant is Variant.NONSEP else _sep_violations(g, t))
         if not report.ok:
             raise RuntimeError(
                 f"census of {format_type(t)} produced a graph violating "
@@ -612,7 +622,7 @@ def enum_nonsep(t: TopType, *, gamma_mode: GammaMode = GammaMode.AS_DATA,
     """
     _require_graph_model(t, Variant.NONSEP)
     meter = meter or WorkMeter()
-    bounds = bounds_for(t)
+    bounds = _bounds(t)
     found: dict[bytes, DecoratedGraph] = {}
     for _, searched, plain in _plain_classes(bounds, meter):
         found.update(_gamma_classes(plain, searched, involution))
@@ -631,7 +641,7 @@ def enum_sep(t: TopType, *, allow_full_degree: bool = False,
     """
     _require_sep_census(t, allow_full_degree)
     meter = meter or WorkMeter()
-    found = {key: g for key, _, g in _plain_classes(bounds_for(t), meter)}
+    found = {key: g for key, _, g in _plain_classes(_bounds(t), meter)}
     return _checked(t, [g for _, g in sorted(found.items())])
 
 
@@ -790,7 +800,7 @@ def enum_nonsep_naive(t: TopType, *,
     meter = meter or WorkMeter()
 
     def structural_ok(g: DecoratedGraph) -> bool:
-        report = check_nonsep(g, t, involution)
+        report = _nonsep_violations(g, t, involution)
         return report.clauses == ("gamma-missing",)
 
     candidates = []
@@ -822,5 +832,5 @@ def enum_sep_naive(t: TopType, *, allow_full_degree: bool = False,
     """Brute-force census of separating graphs; small types only."""
     _require_sep_census(t, allow_full_degree)
     meter = meter or WorkMeter()
-    return _bucket(_naive_plain_graphs(t, lambda g: check_sep(g, t).ok,
-                                       meter), False)
+    return _bucket(_naive_plain_graphs(
+        t, lambda g: _sep_violations(g, t).ok, meter), False)

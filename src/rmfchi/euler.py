@@ -89,18 +89,32 @@ def chi_compactification(t: TopType, *,
     """
     require_exists(t)
     _reject_unextended(t)
-    if any(i == 0 for i in t.indices):
-        return ChiResult(0, Route.ZERO_INDEX)
-    if t.variant is Variant.SEP_EXT:
-        return ChiResult(1, Route.EXT_ONE)
+    closed = closed_form(t, short_circuit)
+    if closed is not None:
+        return closed
     if t.variant is Variant.NONSEP:
         graphs = enum_nonsep(t, gamma_mode=gamma_mode,
                              involution=involution, meter=meter)
         return ChiResult(len(graphs), Route.GRAPH_COUNT_NONSEP, len(graphs))
-    if short_circuit and has_full_degree(t):
-        return ChiResult(1, Route.SEP_FULL_DEGREE)
     graphs = enum_sep(t, allow_full_degree=True, meter=meter)
     return ChiResult(len(graphs), Route.GRAPH_COUNT_SEP, len(graphs))
+
+
+def closed_form(t: TopType, short_circuit: bool = True) -> ChiResult | None:
+    """chi(N) of an existing type when a closed form gives it, else None.
+
+    A zero index gives 0, an extended type 1 and, unless
+    ``short_circuit`` is false, a full-degree separating type 1.  Every
+    other type needs a graph count.  This is the one routing rule: a
+    sweep reads it to send only graph counts to its worker processes.
+    """
+    if any(i == 0 for i in t.indices):
+        return ChiResult(0, Route.ZERO_INDEX)
+    if t.variant is Variant.SEP_EXT:
+        return ChiResult(1, Route.EXT_ONE)
+    if short_circuit and t.variant is Variant.SEP and has_full_degree(t):
+        return ChiResult(1, Route.SEP_FULL_DEGREE)
+    return None
 
 
 __all__ = [
@@ -109,4 +123,5 @@ __all__ = [
     "Route",
     "chi_compactification",
     "chi_component",
+    "closed_form",
 ]

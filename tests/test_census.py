@@ -4,7 +4,12 @@ from __future__ import annotations
 
 import io
 import json
+import os
 import pathlib
+import queue
+import threading
+import time
+from concurrent.futures import ThreadPoolExecutor
 from itertools import product
 
 import pytest
@@ -97,34 +102,187 @@ def test_worker_count_does_not_change_output():
     assert parallel == sequential
 
 
-def test_worker_count_is_capped(monkeypatch):
-    # The pool forks all its workers up front, so its size is checked
-    # with a stand-in that records it and runs the jobs inline.
-    sizes = []
+class StandInPool:
+    """Threads in place of the sweep's worker processes, watched.
 
-    class InlinePool:
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
+    Each job first sleeps ``delays.get(type, 0)`` seconds, so jobs can
+    be made to finish out of order, and a type in ``failing`` raises.
+    ``peak`` is the most jobs unfinished at once and ``finished_types``
+    the types in the order their jobs ended.
+    """
 
-        def __enter__(self):
-            return self
+    def __init__(self, size, delays=None, failing=()):
+        self.size = size
+        self.threads = ThreadPoolExecutor(size)
+        self.delays = delays or {}
+        self.failing = failing
+        self.outcomes = queue.SimpleQueue()
+        self.lock = threading.Lock()
+        self.unfinished = self.peak = 0
+        self.finished_types = []
+        self.shut_down = False
 
-        def __exit__(self, *exc):
-            return False
+    def submit(self, job, t):
+        with self.lock:
+            self.unfinished += 1
+            self.peak = max(self.peak, self.unfinished)
 
-        def map(self, fn, items):
-            return map(fn, items)
+        def run():
+            time.sleep(self.delays.get(format_type(t), 0))
+            try:
+                if format_type(t) in self.failing:
+                    raise RuntimeError(f"planted failure at {format_type(t)}")
+                outcome = census.record_for(t)
+            except Exception as exc:
+                outcome = exc
+            with self.lock:
+                self.unfinished -= 1
+                self.finished_types.append(format_type(t))
+            self.outcomes.put((job, outcome))
 
-    monkeypatch.setattr(census, "ProcessPoolExecutor", InlinePool)
+        self.threads.submit(run)
+
+    def finished(self, block):
+        out = [self.outcomes.get()] if block else []
+        while not self.outcomes.empty():
+            out.append(self.outcomes.get())
+        return out
+
+    def shutdown(self):
+        self.shut_down = True
+        self.threads.shutdown(cancel_futures=True)
+
+
+@pytest.fixture
+def stand_in(monkeypatch):
+    """Patch the one place a sweep builds its pool; returns a function
+    that takes the stand-in's options and returns the pools built."""
+    pools = []
+
+    def use(**options):
+        monkeypatch.setattr(census, "_Pool", lambda size: pools.append(
+            StandInPool(size, **options)) or pools[-1])
+        return pools
+
+    return use
+
+
+# The small golden box's four graph counts, in list order.
+GOLDEN_GRAPH_COUNTS = ("0,2,0|", "1,2,0|", "1,3,0|1", "0,3,1|1")
+
+
+def test_worker_count_is_capped(monkeypatch, stand_in):
+    # The pool's size is capped by the CPUs and by the graph counts
+    # among the first graph count and the types read ahead of it.
+    pools = stand_in()
     bounds = SweepBounds(g_max=1, n_max=3, abs_i_max=2)
     golden = GOLDEN.read_text()
     assert len(golden.splitlines()) == 12
-    for cpus, workers in ((4, 10**9), (64, 10**9), (64, 3), (None, 8)):
+    assert [json.loads(line)["type"] for line in golden.splitlines()
+            if json.loads(line)["graph_count"] is not None] \
+        == list(GOLDEN_GRAPH_COUNTS)
+    for cpus, workers in ((4, 10**9), (64, 10**9), (64, 3), (None, 8),
+                          (2, 10**9)):
         monkeypatch.setattr(census.os, "cpu_count", lambda n=cpus: n)
         assert _jsonl(sweep(bounds, workers=workers)) == golden
-    # 4 CPUs, 12 types, 3 asked; one CPU (or an unknown count) runs
-    # without a pool
-    assert sizes == [4, 12, 3]
+    # 4 CPUs and 4 graph counts; 4 graph counts; 3 asked; one CPU (or an
+    # unknown count) runs without a pool; 2 CPUs
+    assert [pool.size for pool in pools] == [4, 4, 3, 2]
+    # Reading one type ahead of 0,2,0| finds the graph count 1,2,0|.
+    monkeypatch.setattr(census, "_QUEUE_LIMIT", 1)
+    assert _jsonl(sweep(bounds, workers=64)) == golden
+    assert pools[-1].size == 2
+    assert all(pool.shut_down for pool in pools)
+
+
+def test_a_box_of_closed_forms_never_starts_a_pool(monkeypatch):
+    def no_pool(size):
+        raise AssertionError("a pool was started")
+
+    monkeypatch.setattr(census, "_Pool", no_pool)
+    monkeypatch.setattr(census.os, "cpu_count", lambda: 4)
+    for bounds in (SweepBounds(3, 4, 1, eps="ext"), SweepBounds(400, 1, 1),
+                   SweepBounds(6, 2, 0, eps="1")):
+        records = list(sweep(bounds, workers=2))
+        assert records and all(r.graph_count is None for r in records)
+        assert records == list(sweep(bounds))
+
+
+@pytest.mark.parametrize("queue_limit", [1024, 2])
+def test_jobs_that_finish_out_of_order_give_the_golden_bytes(
+        monkeypatch, stand_in, queue_limit):
+    # Each job sleeps less than the one before it, and the four run at
+    # once, so they finish in reverse; with a queue of two the sweep
+    # also waits for its head before reading on.
+    monkeypatch.setattr(census.os, "cpu_count", lambda: 4)
+    monkeypatch.setattr(census, "_QUEUE_LIMIT", queue_limit)
+    delays = {t: 0.1 * (3 - pos) for pos, t in enumerate(GOLDEN_GRAPH_COUNTS)}
+    pools = stand_in(delays=delays)
+    records = sweep(SweepBounds(g_max=1, n_max=3, abs_i_max=2), workers=4)
+    assert _jsonl(records) == GOLDEN.read_text()
+    assert pools[0].finished_types != list(GOLDEN_GRAPH_COUNTS)
+    # The queue holds every job unfinished at once.
+    assert pools[0].peak == min(4, queue_limit)
+    if queue_limit == 1024:
+        assert pools[0].finished_types == list(reversed(GOLDEN_GRAPH_COUNTS))
+
+
+def test_a_failing_job_stops_the_sweep_after_the_records_before_it(
+        monkeypatch, stand_in):
+    # 1,3,0|1 fails at once while 0,2,0| is still running: the records
+    # before it come out first, then its error, and the pool is shut.
+    monkeypatch.setattr(census.os, "cpu_count", lambda: 4)
+    pools = stand_in(delays={"0,2,0|": 0.2}, failing={"1,3,0|1"})
+    handed_out = []
+    with pytest.raises(RuntimeError, match="planted failure at 1,3,0[|]1"):
+        for record in sweep(SweepBounds(g_max=1, n_max=3, abs_i_max=2),
+                            workers=2):
+            handed_out.append(record)
+    assert _jsonl(handed_out) == "".join(
+        GOLDEN.read_text().splitlines(keepends=True)[:3])
+    assert pools[0].shut_down
+
+
+def test_jobs_in_flight_never_exceed_the_window(monkeypatch, stand_in):
+    # Jobs outlast the time it takes to list and submit several, so
+    # the sweep keeps its window full.
+    monkeypatch.setattr(census.os, "cpu_count", lambda: 4)
+    pools = stand_in(delays={format_type(t): 0.01 for t in iter_types(
+        SweepBounds(g_max=3, n_max=6, abs_i_max=3))})
+    records = sweep(SweepBounds(g_max=3, n_max=6, abs_i_max=3), workers=2)
+    assert _jsonl(records).encode() == LARGER_GOLDEN.read_bytes()
+    assert pools[0].size == 2
+    assert pools[0].peak == census._IN_FLIGHT_PER_WORKER * 2
+
+
+def test_worker_processes_send_back_records_and_failures():
+    # A type that does not exist makes record_for raise; its error comes
+    # back as a RuntimeError that names it and carries the original.
+    # A worker that exits is reported instead of waited for.
+    types = [nonsep(2, 5, (1,)), nonsep(0, 3, (3,)), sep(0, 3, (1,))]
+    pool = census._Pool(2)
+    try:
+        for job, t in enumerate(types):
+            pool.submit(job, t)
+        outcomes = {}
+        while len(outcomes) < len(types):
+            outcomes.update(pool.finished(block=True))
+        assert outcomes[0] == record_for(types[0])
+        assert outcomes[2] == record_for(types[2])
+        assert isinstance(outcomes[1], RuntimeError)
+        assert str(outcomes[1]).startswith(
+            "the record of 0,3,0|3 failed in a worker:")
+        assert "NonExistentTypeError: type 0,3,0|3 labels no component" \
+            in str(outcomes[1])
+        pool.workers[0].terminate()
+        with pytest.raises(RuntimeError, match="worker process exited"):
+            pool.finished(block=True)
+        pids = [worker.pid for worker in pool.workers]
+    finally:
+        pool.shutdown()
+    for pid in pids:
+        with pytest.raises(ProcessLookupError):
+            os.kill(pid, 0)
 
 
 def test_iter_types_is_sorted_and_existing():

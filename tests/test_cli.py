@@ -388,6 +388,36 @@ def test_bad_work_limit_names_the_variable(capsys, monkeypatch):
         assert "RMF_WORK_LIMIT" in err and repr(text) in err
 
 
+def test_sequential_commands_do_not_load_the_pool(tmp_path):
+    # Importing the pool machinery costs every command about 2 MiB and
+    # 15 ms; only a sweep that starts a pool may load it, and only
+    # --format csv the csv module.
+    code = """
+import contextlib, io, sys
+import rmfchi
+from rmfchi import cli
+box = ["--g-max", "1", "--n-max", "3", "--abs-i-max", "2"]
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [cli.main(argv) for argv in (
+        ["chi-n", "3,7,0|1"], ["graphs", "1,3,0|1"],
+        ["verify-cells", "--max-s", "3"],
+        ["catalog", *box, "--out", sys.argv[1] + ".jsonl"])]
+print(codes, [name for name in ("concurrent.futures", "multiprocessing", "csv")
+              if name in sys.modules])
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.main(["catalog", *box, "--format", "csv",
+                     "--out", sys.argv[1] + ".csv"])
+print(code, "csv" in sys.modules)
+"""
+    out = tmp_path / "catalog"
+    proc = subprocess.run([sys.executable, "-c", code, str(out)],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["[0, 0, 0, 0] []", "0 True"]
+    assert (tmp_path / "catalog.jsonl").read_text() == GOLDEN.read_text()
+    assert (tmp_path / "catalog.csv").read_text().count("\n") == 13
+
+
 def test_module_entry_point():
     proc = subprocess.run([sys.executable, "-m", "rmfchi", "dim", "1,3,0|1"],
                           capture_output=True, text=True)

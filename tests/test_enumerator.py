@@ -46,6 +46,7 @@ from rmfchi.topotype import (
     format_type,
     nonsep,
     parse_type,
+    require_exists,
     sep,
     sepext,
 )
@@ -155,6 +156,32 @@ def test_one_guard_answers_every_graph_model_entry_point():
             assert type(info.value) is expected[case], (call, case)
             if case == "extended":
                 assert "no graph model" in str(info.value), call
+
+
+def test_a_census_validates_its_type_once(monkeypatch):
+    # Its guard once ran again in bounds_for and in the checker of every
+    # graph: enum_sep(3,6,1|-1,1) validated its type 11 times for 9
+    # graphs.  The public entry points keep their guard.
+    calls = []
+
+    def counted(t):
+        calls.append(t)
+        return require_exists(t)
+
+    monkeypatch.setattr(decograph, "require_exists", counted)
+    for census, t, graphs in ((enum_sep, sep(3, 6, (1, -1)), 9),
+                              (enum_nonsep, nonsep(2, 5, (1,)), 3),
+                              (enum_nonsep_naive, nonsep(1, 5, (1,)), 3),
+                              (enum_sep_naive, sep(1, 4, (1, 1)), 1)):
+        calls.clear()
+        assert len(census(t)) == graphs
+        assert calls == [t]
+    t = sep(3, 6, (1, -1))
+    g = enum_sep(t)[0]
+    for guarded in (bounds_for, lambda t: check_sep(g, t)):
+        calls.clear()
+        guarded(t)
+        assert calls == [t]
 
 
 def test_bounds():
@@ -616,7 +643,7 @@ def test_oracle_skips_what_a_checker_clause_rejects(monkeypatch):
 
 
 FAST_PATH_NAMES = (
-    "bounds_for", "_splits", "_shapes", "_decorations", "_compositions",
+    "bounds_for", "_bounds", "_splits", "_shapes", "_decorations", "_compositions",
     "_compositions_upto", "_paired_compositions", "_is_canonical",
     "_degrees_can_pair",
     "_partitions_exact", "_weight_splits", "_cells_of", "_assemble",
@@ -677,8 +704,8 @@ from rmfchi.decograph import Violation, ViolationList
 from rmfchi.topotype import nonsep, sep
 assert False, "assert statements must be stripped here"
 bad = ViolationList((Violation("planted", "rejects everything"),))
-enumerator.check_nonsep = lambda g, t, involution=True: bad
-enumerator.check_sep = lambda g, t: bad
+enumerator._nonsep_violations = lambda g, t, involution=True: bad
+enumerator._sep_violations = lambda g, t: bad
 for run in (lambda: enumerator.enum_nonsep(nonsep(1, 3, (1,))),
             lambda: enumerator.enum_sep(sep(1, 5, (1, 2)))):
     try:

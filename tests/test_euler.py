@@ -6,12 +6,14 @@ from itertools import combinations_with_replacement
 
 import pytest
 
+from rmfchi.census import SweepBounds, iter_types
 from rmfchi.enumerator import GammaMode, WorkLimitExceeded, WorkMeter
 from rmfchi.euler import (
     AdmitsExtensionError,
     Route,
     chi_compactification,
     chi_component,
+    closed_form,
 )
 from rmfchi.topotype import (
     NonExistentTypeError,
@@ -93,6 +95,18 @@ def test_compactification_extended():
     assert (r.value, r.route, r.graph_count) == (1, Route.EXT_ONE, None)
     r = chi_compactification(sepext(3, 4, (-1, 1), 1))
     assert (r.value, r.route) == (1, Route.EXT_ONE)
+
+
+def test_closed_form_decides_the_route():
+    # The sweep routes by closed_form alone, so it must agree with
+    # chi_compactification on every type of a box: a result exactly
+    # when no graph is counted, and then the same one.
+    types = list(iter_types(SweepBounds(3, 6, 3)))
+    assert len(types) == 205
+    for t in types:
+        closed, full = closed_form(t), chi_compactification(t)
+        assert closed == (full if full.graph_count is None else None), t
+    assert closed_form(sep(0, 2, (2,)), short_circuit=False) is None
 
 
 def test_gamma_conventions_flow_through():
