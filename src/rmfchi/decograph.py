@@ -277,24 +277,45 @@ def gamma_violations(g: DecoratedGraph, gamma: tuple[int, ...],
     return out
 
 
-def _matched_gammas(g: DecoratedGraph, searched,
-                    involution: bool) -> list[tuple[int, ...]]:
-    """:func:`find_gammas`, given the result of ``_search(g)``."""
+def _matches(g: DecoratedGraph, searched):
+    """Every isomorphism from g onto its color-swapped copy, given the
+    result of ``_search(g)``; none when the copy is not isomorphic."""
     other = {Color.WHITE: Color.BLACK, Color.BLACK: Color.WHITE}
     swapped = DecoratedGraph(
-        tuple(replace(v, color=other[v.color]) for v in g.vertices), g.edges)
+        tuple(Vertex(other[v.color], v.weight, v.root) for v in g.vertices),
+        g.edges)
     header, rows, orders = searched
     swapped_header, swapped_rows, matches = _search(swapped)
     if (header, rows) != (swapped_header, swapped_rows):
-        return []
-    results = []
+        return
     for match in matches:
         perm = [0] * len(g.vertices)
         for v, image in zip(orders[0], match):
             perm[v] = image
-        if not gamma_violations(g, perm, involution):
-            results.append(tuple(perm))
-    return sorted(results)
+        yield perm
+
+
+def _match_admissible(cells, gamma, involution: bool) -> bool:
+    """``gamma-involution`` and ``gamma-parity`` of
+    :func:`gamma_violations`, for one of :func:`_matches` of the graph
+    whose ``cells()`` are given: the only clauses such a map can fail.
+
+    A pair's parity is tested when gamma swaps its two ends, which is
+    when it maps the pair onto itself, since it fixes no vertex.
+    """
+    if involution and any(gamma[gamma[v]] != v for v in range(len(gamma))):
+        return False
+    return all(_parity_ok(weights, involution)
+               for (u, v), weights in cells.items()
+               if gamma[u] == v and gamma[v] == u)
+
+
+def _matched_gammas(g: DecoratedGraph, searched,
+                    involution: bool) -> list[tuple[int, ...]]:
+    """:func:`find_gammas`, given the result of ``_search(g)``."""
+    cells = g.cells()
+    return sorted(tuple(perm) for perm in _matches(g, searched)
+                  if _match_admissible(cells, perm, involution))
 
 
 def find_gammas(g: DecoratedGraph,
@@ -308,8 +329,13 @@ def find_gammas(g: DecoratedGraph,
     position by position with the graph's first minimal order, is one
     isomorphism, and each isomorphism arises once: two minimal orders
     of one graph differ by an automorphism.  The permutations are kept
-    when :func:`gamma_violations` finds nothing, so with ``involution``
-    (the default) only order-two symmetries survive.
+    when :func:`gamma_violations` would find nothing, so with
+    ``involution`` (the default) only order-two symmetries survive.
+    Only two of its clauses are tested (:func:`_match_admissible`): an
+    isomorphism onto the copy is a permutation that swaps colors, keeps
+    each vertex's genus and root flag (the headers hold them) and maps
+    every pair's edge weights onto its image's, so ``gamma-involution``
+    and ``gamma-parity`` are the only clauses it can fail.
 
     No separate color-swap test is needed: equal headers mean equal
     multisets of (color, vertex invariant), so the white and black

@@ -377,21 +377,116 @@ def _cells_of(mat):
             for j, m in enumerate(row) if m]
 
 
-def _weight_splits(mults, total: int):
-    """Per-cell sorted weight tuples with the given global sum."""
+def _kinds_pair(white, black) -> bool:
+    """Whether the white and black vertexes' kinds agree as multisets.
 
-    def rec(idx: int, remaining: int, acc):
-        if idx == len(mults):
-            if remaining == 0:
+    A kind is a vertex's sorted incident weights.  A color-swapping
+    gamma maps each vertex to one of the other color and the same kind.
+    """
+    return sorted(white) == sorted(black)
+
+
+def _genus_pairs(spare: int) -> bool:
+    """Whether the genus left to the non-root vertexes can be paired.
+
+    A color-swapping gamma fixes no vertex and maps each one to a vertex
+    of the other color and the same genus, so the non-root genera sum
+    to an even number.  :func:`_paired_compositions` of an odd total is
+    empty.
+    """
+    return spare % 2 == 0
+
+
+def _without(items: tuple, item) -> tuple:
+    k = items.index(item)
+    return items[:k] + items[k + 1:]
+
+
+def _weight_splits(mults, cells_at, n_w: int, bounds: EnumerationBounds,
+                   twins):
+    """The weight splits of a shape that :func:`_decorations` can use.
+
+    A split gives each cell a sorted tuple of its multiplicity's weights,
+    and all cells together the bounds' edge weight sum.  Cells are filled
+    in order, each with every sum it allows and every sorted tuple of
+    that sum, so splits come in the order of the uncut generator.  A
+    partial split is cut as soon as it fails one of these:
+
+    - root demand: a root sits on a degree-1 vertex, whose one cell has
+      multiplicity 1 and carries the root weight.  For each color, the
+      root weights that no filled candidate cell has matched must not
+      outnumber its candidate cells still to fill;
+    - twin order: at the last cell of a pair (a, b) of ``twins``, b's
+      (sum, weights) per cell must not be smaller than a's.
+
+    A complete split must also, with balanced bounds, give the two
+    colors the same kinds (:func:`_kinds_pair`).  That pairing test is
+    made once the split is complete: tested as each vertex finished, it
+    cut only 2 to 4 cells before the end and cost more than it saved.
+
+    Each test is the one :func:`_decorations` would make of the split: a
+    root choice exists, no twins are out of order, and, the roots of
+    both colors carrying the same weights, the non-root vertexes can
+    pair by kind, as :func:`_paired_compositions` asks.
+    """
+    n = len(mults)
+    tail = [0] * (n + 1)  # the least weight of the cells from idx on
+    for idx in range(n - 1, -1, -1):
+        tail[idx] = tail[idx + 1] + mults[idx]
+    rooted = [()] * n  # the colors whose root a cell can carry
+    for v, at in enumerate(cells_at):
+        if len(at) == 1 and mults[at[0]] == 1:
+            rooted[at[0]] += (int(v >= n_w),)
+    left = [()] * n  # per color, the candidate cells after idx
+    counts = [0, 0]
+    for idx in range(n - 1, -1, -1):
+        left[idx] = tuple(counts)
+        for c in rooted[idx]:
+            counts[c] += 1
+    twins_at = [()] * n
+    for a, b in twins:
+        twins_at[max(cells_at[a][-1], cells_at[b][-1])] += (
+            (cells_at[a], cells_at[b]),)
+    acc = [()] * n
+    parts_of: dict = {}  # (sum, multiplicity) -> its sorted tuples
+
+    def key(at):
+        return [(sum(acc[j]), acc[j]) for j in at]
+
+    def kinds(vertexes):
+        return [acc[at[0]] if len(at) == 1
+                else tuple(sorted([w for j in at for w in acc[j]]))
+                for at in vertexes]
+
+    def rec(idx: int, remaining: int, need):
+        if idx == n:
+            if not bounds.balanced or _kinds_pair(kinds(cells_at[:n_w]),
+                                                  kinds(cells_at[n_w:])):
                 yield tuple(acc)
             return
         m = mults[idx]
-        tail_min = sum(mults[idx + 1:])
-        for s in range(m, remaining - tail_min + 1):
-            for part in _partitions_exact(s, m):
-                yield from rec(idx + 1, remaining - s, acc + [part])
+        low = m if idx + 1 < n else remaining  # the last cell takes the rest
+        for s in range(low, remaining - tail[idx + 1] + 1):
+            unmatched = need
+            if rooted[idx]:
+                unmatched = list(need)
+                for c in rooted[idx]:
+                    if s in unmatched[c]:
+                        unmatched[c] = _without(unmatched[c], s)
+                if any(len(unmatched[c]) > left[idx][c] for c in rooted[idx]):
+                    continue
+            parts = parts_of.get((s, m))
+            if parts is None:
+                parts = parts_of[s, m] = tuple(_partitions_exact(s, m))
+            for part in parts:
+                acc[idx] = part
+                if twins_at[idx] and any(key(a) > key(b)
+                                         for a, b in twins_at[idx]):
+                    continue
+                yield from rec(idx + 1, remaining - s, unmatched)
 
-    yield from rec(0, total, [])
+    yield from rec(0, bounds.edge_weight_sum,
+                   [bounds.white_root_weights, bounds.black_root_weights])
 
 
 def _root_choices(vertexes, incident, needed):
@@ -476,6 +571,20 @@ def _decorations(mat, bounds: EnumerationBounds, meter: WorkMeter):
     a skipped decoration is never the first of its class.  The census
     then keeps the same graph of every class, in the same order.  Any
     reordering of these loops must keep this order.
+
+    Weight splits.  :func:`_weight_splits` builds only the splits this
+    loop can use, with three cuts: root demand (too few candidate cells
+    left for a color's unmatched root weights), twin order (the first
+    part of the key, at the last cell of a twin pair) and, with balanced
+    bounds, color pairing (the white and black vertexes' sorted incident
+    weights, tested once the split is complete).  Each drops only splits
+    this loop would drop: those with no root choice of a color, those
+    with twins out of order (so :func:`_twin_ties` of the cells never
+    returns None here), and those whose colors' kinds differ, for which
+    :func:`_paired_compositions` yields nothing, since the roots of both
+    colors carry the same weights.  It yields nothing either for an odd
+    spare genus, and :func:`_plain_classes` builds no such shape.  The
+    splits kept come in the same order, so the decorations do too.
     """
     n_w, n_b = len(mat), len(mat[0])
     whites, blacks = range(n_w), range(n_w, n_w + n_b)
@@ -489,12 +598,10 @@ def _decorations(mat, bounds: EnumerationBounds, meter: WorkMeter):
         cells_at[n_w + j].append(idx)
     twins = _shape_twins(mat)
 
-    for weights in _weight_splits(mults, bounds.edge_weight_sum):
+    for weights in _weight_splits(mults, cells_at, n_w, bounds, twins):
         meter.tick()
         by_cells = _twin_ties(twins, lambda v: [
             (sum(weights[idx]), weights[idx]) for idx in cells_at[v]])
-        if by_cells is None:
-            continue
         incident = [[w for idx in at for w in weights[idx]]
                     for at in cells_at]
         for white_roots, black_roots in product(
@@ -542,11 +649,17 @@ def _plain_classes(bounds: EnumerationBounds, meter: WorkMeter):
     """(canonical key, its search, gamma-less graph) per isomorphism class.
 
     With balanced bounds, only the classes that can carry a
-    color-swapping gamma (see :func:`_decorations`).
+    color-swapping gamma (see :func:`_decorations`).  No shape is built
+    at a cycle rank that leaves the non-root vertexes a genus
+    :func:`_genus_pairs` rejects, since none of its decorations has a
+    genus composition.
     """
     seen: set[bytes] = set()
     for n_edges in range(1, bounds.max_edges + 1):
         for cycle_rank in range(0, bounds.genus_budget + 1):
+            if bounds.balanced and not _genus_pairs(
+                    bounds.genus_budget - cycle_rank):
+                continue
             for n_w, n_b in _splits(n_edges + 1 - cycle_rank, bounds):
                 for mat in _shapes(n_w, n_b, n_edges, bounds, meter):
                     for plain in _decorations(mat, bounds, meter):

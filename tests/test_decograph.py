@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import replace
 from itertools import permutations
 
@@ -175,6 +176,31 @@ def test_find_gammas_equals_brute_force(monkeypatch, swap_cuts_off):
                 nonempty += bool(want)
                 empty += not want
     assert nonempty > 0 and empty > 0 and unmirrored > 0
+
+
+def test_match_test_agrees_with_the_full_checker(swap_cuts_off):
+    # A match is an isomorphism onto the color-swapped copy, so it swaps
+    # colors and keeps vertex data and cells: find_gammas tests only
+    # gamma-involution and gamma-parity.  On every match of every plain
+    # class of a few small types, in both conventions, that test must
+    # give the full checker's verdict.
+    verdicts = Counter()
+    for text in ("1,4,0|", "2,5,0|1", "2,6,0|2", "3,6,0|", "3,7,0|1,1,1"):
+        with swap_cuts_off():
+            plains = list(_plain_classes(bounds_for(parse_type(text)),
+                                         WorkMeter()))
+        for _, searched, g in plains:
+            cells = g.cells()
+            for perm in decograph._matches(g, searched):
+                for involution in (True, False):
+                    clauses = tuple(v.clause for v in gamma_violations(
+                        g, perm, involution))
+                    assert decograph._match_admissible(
+                        cells, perm, involution) == (not clauses)
+                    verdicts[clauses] += 1
+    # matches that pass, and matches that fail each of the two clauses
+    assert () in verdicts
+    assert set().union(*verdicts) == {"gamma-involution", "gamma-parity"}
 
 
 def test_gamma_classes_key_each_class_by_its_smallest_gamma():

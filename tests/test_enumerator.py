@@ -354,14 +354,132 @@ def test_shape_search_stays_pruned(monkeypatch):
     # census completed 152,311 matrices; it took 7,310 ticks before
     # connectivity was decided row by row, and 2,211 before shapes and
     # genus compositions were generated only when their two colors can
-    # be swapped, and 1,020 before twin rows and columns were decorated
-    # in order.  The limit is work, not time, so a slide back to
-    # wasteful generation fails on any machine.
-    monkeypatch.setenv("RMF_WORK_LIMIT", "913")
+    # be swapped, 1,020 before twin rows and columns were decorated in
+    # order, and 913 before weight splits were cut by root demand, twin
+    # order and color pairing.  The limit is work, not time, so a slide
+    # back to wasteful generation fails on any machine.
+    monkeypatch.setenv("RMF_WORK_LIMIT", "248")
     meter = WorkMeter()
     graphs = enum_nonsep(nonsep(2, 8, (1, 1)), meter=meter)
     assert len(graphs) == 17
-    assert meter.used == 913
+    assert meter.used == 248
+
+
+def test_odd_spare_genus_builds_no_shape(monkeypatch):
+    # 3,7,0|1 has a genus budget of 2, so cycle rank 1 leaves its
+    # non-root vertexes an odd genus, which no color-swapping gamma can
+    # pair.  Skipping that cycle rank keeps the same 31 graphs and takes
+    # the census from 341 ticks to 185 (613 before weight splits were
+    # cut by root demand, twin order and color pairing).
+    meter = WorkMeter()
+    graphs = enum_nonsep(nonsep(3, 7, (1,)), meter=meter)
+    assert len(graphs) == 31 and meter.used == 185
+    monkeypatch.setattr(enumerator, "_genus_pairs", lambda spare: True)
+    meter = WorkMeter()
+    assert enum_nonsep(nonsep(3, 7, (1,)), meter=meter) == graphs
+    assert meter.used == 341
+
+
+def _uncut_weight_splits(mults, total: int):
+    # The generator before it was cut: per-cell sorted weight tuples
+    # with the given global sum, in the census's order.
+    def rec(idx: int, remaining: int, acc):
+        if idx == len(mults):
+            if remaining == 0:
+                yield tuple(acc)
+            return
+        m = mults[idx]
+        tail_min = sum(mults[idx + 1:])
+        for s in range(m, remaining - tail_min + 1):
+            for part in enumerator._partitions_exact(s, m):
+                yield from rec(idx + 1, remaining - s, acc + [part])
+
+    yield from rec(0, total, [])
+
+
+def _census_shapes(bounds):
+    # Every shape of every cycle rank (the census skips the ranks that
+    # _genus_pairs rejects), with the cell multiplicities and the cells
+    # at each vertex (white rows, then black columns).
+    for n_edges in range(1, bounds.max_edges + 1):
+        for cycle_rank in range(bounds.genus_budget + 1):
+            for n_w, n_b in enumerator._splits(n_edges + 1 - cycle_rank,
+                                               bounds):
+                for mat in enumerator._shapes(n_w, n_b, n_edges, bounds,
+                                              WorkMeter()):
+                    cells = [(i, j, m) for i, row in enumerate(mat)
+                             for j, m in enumerate(row) if m]
+                    cells_at = [[] for _ in range(n_w + n_b)]
+                    for idx, (i, j, _) in enumerate(cells):
+                        cells_at[i].append(idx)
+                        cells_at[n_w + j].append(idx)
+                    yield mat, [m for _, _, m in cells], cells_at
+
+
+def _usable(weights, mat, cells_at, bounds) -> bool:
+    # What the decoration loop asks of a split: a root choice of each
+    # color, no twin pair out of order, and with balanced bounds white
+    # and black vertexes whose incident weights agree as multisets.
+    n_w = len(mat)
+    incident = [[w for idx in at for w in weights[idx]] for at in cells_at]
+    whites, blacks = range(n_w), range(n_w, len(cells_at))
+    kinds = [sorted(tuple(sorted(incident[v])) for v in vertexes)
+             for vertexes in (whites, blacks)]
+    return bool(
+        enumerator._root_choices(whites, incident, bounds.white_root_weights)
+        and enumerator._root_choices(blacks, incident,
+                                     bounds.black_root_weights)
+        and enumerator._twin_ties(
+            enumerator._shape_twins(mat),
+            lambda v: [(sum(weights[idx]), weights[idx])
+                       for idx in cells_at[v]]) is not None
+        and (not bounds.balanced or kinds[0] == kinds[1]))
+
+
+def test_weight_splits_are_the_usable_ones():
+    # On every shape of the 206 graph-model types of g <= 3, n <= 8,
+    # |i| <= 3, the cut generator must yield exactly the uncut splits
+    # that the decoration loop can use, in the same order: 1,847 of
+    # 44,112.
+    kept = dropped = 0
+    for t in _graph_model_types(3, 8, 3):
+        bounds = bounds_for(t)
+        for mat, mults, cells_at in _census_shapes(bounds):
+            want = [weights for weights in _uncut_weight_splits(
+                mults, bounds.edge_weight_sum)
+                if _usable(weights, mat, cells_at, bounds)]
+            got = list(enumerator._weight_splits(
+                mults, cells_at, len(mat), bounds,
+                enumerator._shape_twins(mat)))
+            assert got == want, (format_type(t), mat)
+            kept += len(got)
+            dropped += sum(1 for _ in _uncut_weight_splits(
+                mults, bounds.edge_weight_sum)) - len(got)
+    assert (kept, dropped) == (1_847, 42_265)
+
+
+def test_each_weight_split_cut_stays_pinned():
+    # The splits of 2,8,0|1,1's shapes, one census tick each: 726 uncut,
+    # 211 with root demand alone, 473 with twin order alone, 98 with
+    # color pairing alone and 61 with all three.  Each cut is switched
+    # off through its input: no roots, no twins, unbalanced bounds.  A
+    # count is work, not time, so a cut that stops biting fails on any
+    # machine.
+    bounds = bounds_for(nonsep(2, 8, (1, 1)))
+    rootless = replace(bounds, white_root_weights=(), black_root_weights=())
+    runs = {"uncut": (rootless, False, False), "root": (bounds, False, False),
+            "twin": (rootless, True, False), "pair": (rootless, False, True),
+            "all": (bounds, True, True)}
+    splits = dict.fromkeys(runs, 0)
+    for mat, mults, cells_at in _census_shapes(bounds):
+        twins = enumerator._shape_twins(mat)
+        for name, (cut_bounds, use_twins, balanced) in runs.items():
+            splits[name] += sum(1 for _ in enumerator._weight_splits(
+                mults, cells_at, len(mat),
+                replace(cut_bounds, balanced=balanced),
+                twins if use_twins else []))
+    assert splits == {"uncut": 726, "root": 211, "twin": 473, "pair": 98,
+                      "all": 61}
 
 
 def _unfiltered_nonsep(t, gamma_mode, involution, swap_cuts_off):
@@ -379,6 +497,23 @@ def _unfiltered_nonsep(t, gamma_mode, involution, swap_cuts_off):
     if gamma_mode is GammaMode.EXISTENCE:
         graphs = enumerator._existence_projection(graphs)
     return graphs
+
+
+def test_swap_cuts_off_lists_every_plain_class(swap_cuts_off):
+    # With the swap cuts off, a balanced census must list the plain
+    # classes of the same bounds read as unbalanced, less those with
+    # more vertexes of one color.  A swap cut the fixture missed would
+    # quietly drop classes from every test that uses it.
+    for text in ("1,4,0|", "2,5,0|1", "2,6,0|2"):
+        bounds = bounds_for(parse_type(text))
+        want = [plain for _, _, plain in enumerator._plain_classes(
+            replace(bounds, balanced=False), WorkMeter())
+            if len(plain.ids_of(Color.WHITE))
+            == len(plain.ids_of(Color.BLACK))]
+        with swap_cuts_off():
+            got = [plain for _, _, plain in enumerator._plain_classes(
+                bounds, WorkMeter())]
+        assert got == want
 
 
 def test_swap_filter_changes_nothing(swap_cuts_off):
@@ -648,6 +783,7 @@ FAST_PATH_NAMES = (
     "_degrees_can_pair",
     "_partitions_exact", "_weight_splits", "_cells_of", "_assemble",
     "_root_choices", "_shape_twins", "_twin_ties", "_vertex_invariant",
+    "_kinds_pair", "_genus_pairs", "_without",
     "canonical_key", "find_gammas",
     "_gamma_classes", "_search", "_encode",
 )
