@@ -50,7 +50,6 @@ from .decograph import (
     _require_graph_model,
     _search,
     _sep_violations,
-    _vertex_invariant,
     canonical_key,  # not called here; censusbench/tracer.py rebinds it
     check_nonsep,  # not called here; censusbench/tracer.py rebinds it
     check_sep,  # not called here; censusbench/tracer.py rebinds it
@@ -403,7 +402,7 @@ def _without(items: tuple, item) -> tuple:
 
 
 def _weight_splits(mults, cells_at, n_w: int, bounds: EnumerationBounds,
-                   twins):
+                   twins, candidates):
     """The weight splits of a shape that :func:`_decorations` can use.
 
     A split gives each cell a sorted tuple of its multiplicity's weights,
@@ -412,10 +411,9 @@ def _weight_splits(mults, cells_at, n_w: int, bounds: EnumerationBounds,
     that sum, so splits come in the order of the uncut generator.  A
     partial split is cut as soon as it fails one of these:
 
-    - root demand: a root sits on a degree-1 vertex, whose one cell has
-      multiplicity 1 and carries the root weight.  For each color, the
-      root weights that no filled candidate cell has matched must not
-      outnumber its candidate cells still to fill;
+    - root demand: for each color, the root weights that no filled cell
+      of its ``candidates`` has matched must not outnumber its candidate
+      cells still to fill;
     - twin order: at the last cell of a pair (a, b) of ``twins``, b's
       (sum, weights) per cell must not be smaller than a's.
 
@@ -423,20 +421,22 @@ def _weight_splits(mults, cells_at, n_w: int, bounds: EnumerationBounds,
     colors the same kinds (:func:`_kinds_pair`).  That pairing test is
     made once the split is complete: tested as each vertex finished, it
     cut only 2 to 4 cells before the end and cost more than it saved.
+    Each test is one :func:`_decorations` would fail the split on: no
+    root choice of a color, twins out of order, or, the roots of both
+    colors carrying the same weights, no way for the non-root vertexes
+    to pair by kind in :func:`_paired_compositions`.
 
-    Each test is the one :func:`_decorations` would make of the split: a
-    root choice exists, no twins are out of order, and, the roots of
-    both colors carrying the same weights, the non-root vertexes can
-    pair by kind, as :func:`_paired_compositions` asks.
+    Yields (split, kinds, ties): each vertex's kind, and the twin pairs
+    whose (sum, weights) per cell tie.
     """
     n = len(mults)
     tail = [0] * (n + 1)  # the least weight of the cells from idx on
     for idx in range(n - 1, -1, -1):
         tail[idx] = tail[idx + 1] + mults[idx]
     rooted = [()] * n  # the colors whose root a cell can carry
-    for v, at in enumerate(cells_at):
-        if len(at) == 1 and mults[at[0]] == 1:
-            rooted[at[0]] += (int(v >= n_w),)
+    for c, vertexes in enumerate(candidates):
+        for v in vertexes:
+            rooted[cells_at[v][0]] += (c,)
     left = [()] * n  # per color, the candidate cells after idx
     counts = [0, 0]
     for idx in range(n - 1, -1, -1):
@@ -445,24 +445,21 @@ def _weight_splits(mults, cells_at, n_w: int, bounds: EnumerationBounds,
             counts[c] += 1
     twins_at = [()] * n
     for a, b in twins:
-        twins_at[max(cells_at[a][-1], cells_at[b][-1])] += (
-            (cells_at[a], cells_at[b]),)
+        twins_at[max(cells_at[a][-1], cells_at[b][-1])] += ((a, b),)
     acc = [()] * n
     parts_of: dict = {}  # (sum, multiplicity) -> its sorted tuples
 
-    def key(at):
-        return [(sum(acc[j]), acc[j]) for j in at]
-
-    def kinds(vertexes):
-        return [acc[at[0]] if len(at) == 1
-                else tuple(sorted([w for j in at for w in acc[j]]))
-                for at in vertexes]
+    def key(v):
+        return [(sum(acc[j]), acc[j]) for j in cells_at[v]]
 
     def rec(idx: int, remaining: int, need):
         if idx == n:
-            if not bounds.balanced or _kinds_pair(kinds(cells_at[:n_w]),
-                                                  kinds(cells_at[n_w:])):
-                yield tuple(acc)
+            kinds = [acc[at[0]] if len(at) == 1
+                     else tuple(sorted([w for j in at for w in acc[j]]))
+                     for at in cells_at]
+            if not bounds.balanced or _kinds_pair(kinds[:n_w], kinds[n_w:]):
+                yield (tuple(acc), kinds,
+                       [(a, b) for a, b in twins if key(a) == key(b)])
             return
         m = mults[idx]
         low = m if idx + 1 < n else remaining  # the last cell takes the rest
@@ -489,16 +486,15 @@ def _weight_splits(mults, cells_at, n_w: int, bounds: EnumerationBounds,
                    [bounds.white_root_weights, bounds.black_root_weights])
 
 
-def _root_choices(vertexes, incident, needed):
-    """Sets of vertexes that can carry the roots of one color.
+def _root_choices(candidates, kinds, needed):
+    """Sets of ``candidates`` that can carry the roots of one color.
 
-    A root candidate has exactly one incident weight, its root weight;
-    a set qualifies when its root weights are ``needed`` as a multiset.
+    A candidate's kind is its one weight, its root weight; a set
+    qualifies when its root weights are ``needed`` as a multiset.
     """
     need = tuple(sorted(needed))
-    candidates = [v for v in vertexes if len(incident[v]) == 1]
     return [set(combo) for combo in combinations(candidates, len(need))
-            if tuple(sorted(incident[v][0] for v in combo)) == need]
+            if tuple(sorted(kinds[v][0] for v in combo)) == need]
 
 
 def _assemble(n_w, n_b, cells, weights, roots, genus) -> DecoratedGraph:
@@ -536,17 +532,19 @@ def _twin_ties(twins, key):
     return tied
 
 
-def _decorations(mat, bounds: EnumerationBounds, meter: WorkMeter):
+def _decorations(mat, bounds: EnumerationBounds, spare: int,
+                 meter: WorkMeter):
     """All decorated graphs (without gamma) on one shape, up to twin order.
 
-    With balanced bounds, only those whose white and black vertex
-    invariants agree as multisets, the graphs that can carry a
-    color-swapping gamma; :func:`_shapes` has already dropped the shapes
-    whose two colors have different degrees.  The roots of the two
-    colors carry the same weights, and the genus compositions generated
-    are those that give the non-root vertexes of the two colors with
-    each genus-free invariant the same genera (there are none when one
-    color has more of them).
+    ``spare`` is the genus that the shape's cycle rank leaves to the
+    non-root vertexes.  With balanced bounds, only the graphs whose
+    white and black vertex invariants agree as multisets, those that
+    can carry a color-swapping gamma; :func:`_shapes` has already
+    dropped the shapes whose two colors have different degrees.  The
+    roots of the two colors carry the same weights, and the genus
+    compositions generated are those that give the non-root vertexes of
+    the two colors of each kind the same genera (there are none when
+    one color has more of them).
     Each test is an isomorphism invariant, so it drops whole classes,
     and every kept class is first reached by the same decoration as
     without the tests.
@@ -572,52 +570,40 @@ def _decorations(mat, bounds: EnumerationBounds, meter: WorkMeter):
     then keeps the same graph of every class, in the same order.  Any
     reordering of these loops must keep this order.
 
-    Weight splits.  :func:`_weight_splits` builds only the splits this
-    loop can use, with three cuts: root demand (too few candidate cells
-    left for a color's unmatched root weights), twin order (the first
-    part of the key, at the last cell of a twin pair) and, with balanced
-    bounds, color pairing (the white and black vertexes' sorted incident
-    weights, tested once the split is complete).  Each drops only splits
-    this loop would drop: those with no root choice of a color, those
-    with twins out of order (so :func:`_twin_ties` of the cells never
-    returns None here), and those whose colors' kinds differ, for which
-    :func:`_paired_compositions` yields nothing, since the roots of both
-    colors carry the same weights.  It yields nothing either for an odd
-    spare genus, and :func:`_plain_classes` builds no such shape.  The
-    splits kept come in the same order, so the decorations do too.
+    Weight splits.  Each color's root candidates, its vertexes of degree
+    1, are found once per shape.  :func:`_weight_splits` cuts by them
+    and yields only the splits this loop can use, each with the kinds of
+    its vertexes and its twin pairs that tie on their cells; the root
+    choices, the groups of :func:`_paired_compositions` and the flag and
+    genus stages of twin order read those.
     """
     n_w, n_b = len(mat), len(mat[0])
-    whites, blacks = range(n_w), range(n_w, n_w + n_b)
     cells = _cells_of(mat)
     mults = [m for _, _, m in cells]
-    cycle_rank = sum(mults) - n_w - n_b + 1
-    spare = bounds.genus_budget - cycle_rank
     cells_at = [[] for _ in range(n_w + n_b)]
     for idx, (i, j, _) in enumerate(cells):
         cells_at[i].append(idx)
         cells_at[n_w + j].append(idx)
-    twins = _shape_twins(mat)
+    candidates = [[v for v in vertexes
+                   if len(cells_at[v]) == 1 and mults[cells_at[v][0]] == 1]
+                  for vertexes in (range(n_w), range(n_w, n_w + n_b))]
 
-    for weights in _weight_splits(mults, cells_at, n_w, bounds, twins):
+    for weights, kinds, ties in _weight_splits(
+            mults, cells_at, n_w, bounds, _shape_twins(mat), candidates):
         meter.tick()
-        by_cells = _twin_ties(twins, lambda v: [
-            (sum(weights[idx]), weights[idx]) for idx in cells_at[v]])
-        incident = [[w for idx in at for w in weights[idx]]
-                    for at in cells_at]
         for white_roots, black_roots in product(
-                _root_choices(whites, incident, bounds.white_root_weights),
-                _root_choices(blacks, incident, bounds.black_root_weights)):
+                _root_choices(candidates[0], kinds, bounds.white_root_weights),
+                _root_choices(candidates[1], kinds, bounds.black_root_weights)):
             roots = white_roots | black_roots
-            by_flag = _twin_ties(by_cells, lambda v: v not in roots)
+            by_flag = _twin_ties(ties, lambda v: v not in roots)
             if by_flag is None:
                 continue
             free = [v for v in range(n_w + n_b) if v not in roots]
             if bounds.balanced:
-                kinds = [_vertex_invariant(False, 0, incident[v])
-                         for v in free]
                 split = n_w - len(white_roots)
-                comps = _paired_compositions(spare, kinds[:split],
-                                             kinds[split:])
+                comps = _paired_compositions(
+                    spare, [kinds[v] for v in free[:split]],
+                    [kinds[v] for v in free[split:]])
             else:
                 comps = _compositions(spare, len(free))
             for comp in comps:
@@ -657,12 +643,12 @@ def _plain_classes(bounds: EnumerationBounds, meter: WorkMeter):
     seen: set[bytes] = set()
     for n_edges in range(1, bounds.max_edges + 1):
         for cycle_rank in range(0, bounds.genus_budget + 1):
-            if bounds.balanced and not _genus_pairs(
-                    bounds.genus_budget - cycle_rank):
+            spare = bounds.genus_budget - cycle_rank
+            if bounds.balanced and not _genus_pairs(spare):
                 continue
             for n_w, n_b in _splits(n_edges + 1 - cycle_rank, bounds):
                 for mat in _shapes(n_w, n_b, n_edges, bounds, meter):
-                    for plain in _decorations(mat, bounds, meter):
+                    for plain in _decorations(mat, bounds, spare, meter):
                         searched = _search(plain)
                         key = _encode(searched, None)
                         if key not in seen:

@@ -153,14 +153,16 @@ def test_find_gammas_equals_brute_force(monkeypatch, swap_cuts_off):
     # isomorphic to its color-swapped copy is rejected on the search
     # headers and rows, before any candidate permutation is tested.
     # The census's swap cuts are off, so those graphs are listed too.
+    # The permutations tested are counted where find_gammas tests them.
     tested = []
+    admissible = decograph._match_admissible
 
-    def counting(g, gamma, involution=True):
+    def counting(cells, gamma, involution):
         tested.append(gamma)
-        return gamma_violations(g, gamma, involution)
+        return admissible(cells, gamma, involution)
 
-    monkeypatch.setattr(decograph, "gamma_violations", counting)
-    nonempty = empty = unmirrored = 0
+    monkeypatch.setattr(decograph, "_match_admissible", counting)
+    nonempty = empty = unmirrored = probed = 0
     for text in ("1,4,0|", "2,5,0|1", "2,6,0|2"):
         with swap_cuts_off():
             plains = list(_plain_classes(bounds_for(parse_type(text)),
@@ -173,9 +175,10 @@ def test_find_gammas_equals_brute_force(monkeypatch, swap_cuts_off):
                 tested.clear()
                 assert find_gammas(g, involution) == want
                 assert mirrored or not tested
+                probed += bool(tested)
                 nonempty += bool(want)
                 empty += not want
-    assert nonempty > 0 and empty > 0 and unmirrored > 0
+    assert nonempty > 0 and empty > 0 and unmirrored > 0 and probed > 0
 
 
 def test_match_test_agrees_with_the_full_checker(swap_cuts_off):

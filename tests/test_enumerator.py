@@ -8,6 +8,7 @@ from collections import Counter
 from dataclasses import replace
 from itertools import combinations_with_replacement, permutations, product
 from pathlib import Path
+from types import BuiltinFunctionType, FunctionType
 
 import pytest
 from oracle_keys import criterion_8_types, digest_lines
@@ -416,31 +417,56 @@ def _census_shapes(bounds):
                     yield mat, [m for _, _, m in cells], cells_at
 
 
+def _twin_key(weights, cells_at):
+    # A vertex's (sum, weights) per cell, the key twins are ordered by.
+    return lambda v: [(sum(weights[idx]), weights[idx]) for idx in cells_at[v]]
+
+
 def _usable(weights, mat, cells_at, bounds) -> bool:
     # What the decoration loop asks of a split: a root choice of each
-    # color, no twin pair out of order, and with balanced bounds white
-    # and black vertexes whose incident weights agree as multisets.
+    # color among its vertexes with one incident weight, no twin pair
+    # out of order, and with balanced bounds white and black vertexes
+    # whose incident weights agree as multisets.
     n_w = len(mat)
     incident = [[w for idx in at for w in weights[idx]] for at in cells_at]
     whites, blacks = range(n_w), range(n_w, len(cells_at))
     kinds = [sorted(tuple(sorted(incident[v])) for v in vertexes)
              for vertexes in (whites, blacks)]
     return bool(
-        enumerator._root_choices(whites, incident, bounds.white_root_weights)
-        and enumerator._root_choices(blacks, incident,
-                                     bounds.black_root_weights)
-        and enumerator._twin_ties(
-            enumerator._shape_twins(mat),
-            lambda v: [(sum(weights[idx]), weights[idx])
-                       for idx in cells_at[v]]) is not None
+        all(enumerator._root_choices(
+            [v for v in vertexes if len(incident[v]) == 1], incident, needed)
+            for vertexes, needed in ((whites, bounds.white_root_weights),
+                                     (blacks, bounds.black_root_weights)))
+        and enumerator._twin_ties(enumerator._shape_twins(mat),
+                                  _twin_key(weights, cells_at)) is not None
         and (not bounds.balanced or kinds[0] == kinds[1]))
+
+
+def _split_facts(weights, mat, cells_at):
+    # What _weight_splits yields with a split: each vertex's sorted
+    # incident weights, and the twin pairs whose (sum, weights) per cell
+    # tie.
+    key = _twin_key(weights, cells_at)
+    kinds = [tuple(sorted(w for idx in at for w in weights[idx]))
+             for at in cells_at]
+    return kinds, [(a, b) for a, b in enumerator._shape_twins(mat)
+                   if key(a) == key(b)]
+
+
+def _split_inputs(mat, mults, cells_at):
+    # The twin pairs and the per-color degree-1 vertexes of a shape.
+    n_w = len(mat)
+    candidates = [[v for v in vertexes
+                   if len(cells_at[v]) == 1 and mults[cells_at[v][0]] == 1]
+                  for vertexes in (range(n_w), range(n_w, len(cells_at)))]
+    return enumerator._shape_twins(mat), candidates
 
 
 def test_weight_splits_are_the_usable_ones():
     # On every shape of the 206 graph-model types of g <= 3, n <= 8,
     # |i| <= 3, the cut generator must yield exactly the uncut splits
     # that the decoration loop can use, in the same order: 1,847 of
-    # 44,112.
+    # 44,112.  Each comes with its vertexes' kinds and its tied twins.
     kept = dropped = 0
     for t in _graph_model_types(3, 8, 3):
         bounds = bounds_for(t)
@@ -448,10 +474,13 @@ def test_weight_splits_are_the_usable_ones():
             want = [weights for weights in _uncut_weight_splits(
                 mults, bounds.edge_weight_sum)
                 if _usable(weights, mat, cells_at, bounds)]
+            twins, candidates = _split_inputs(mat, mults, cells_at)
             got = list(enumerator._weight_splits(
-                mults, cells_at, len(mat), bounds,
-                enumerator._shape_twins(mat)))
-            assert got == want, (format_type(t), mat)
+                mults, cells_at, len(mat), bounds, twins, candidates))
+            assert [weights for weights, _, _ in got] == want, (
+                format_type(t), mat)
+            for weights, kinds, ties in got:
+                assert (kinds, ties) == _split_facts(weights, mat, cells_at)
             kept += len(got)
             dropped += sum(1 for _ in _uncut_weight_splits(
                 mults, bounds.edge_weight_sum)) - len(got)
@@ -472,12 +501,12 @@ def test_each_weight_split_cut_stays_pinned():
             "all": (bounds, True, True)}
     splits = dict.fromkeys(runs, 0)
     for mat, mults, cells_at in _census_shapes(bounds):
-        twins = enumerator._shape_twins(mat)
+        twins, candidates = _split_inputs(mat, mults, cells_at)
         for name, (cut_bounds, use_twins, balanced) in runs.items():
             splits[name] += sum(1 for _ in enumerator._weight_splits(
                 mults, cells_at, len(mat),
                 replace(cut_bounds, balanced=balanced),
-                twins if use_twins else []))
+                twins if use_twins else [], candidates))
     assert splits == {"uncut": 726, "root": 211, "twin": 473, "pair": 98,
                       "all": 61}
 
@@ -777,16 +806,26 @@ def test_oracle_skips_what_a_checker_clause_rejects(monkeypatch):
     assert len(calls) == 193
 
 
-FAST_PATH_NAMES = (
-    "bounds_for", "_bounds", "_splits", "_shapes", "_decorations", "_compositions",
-    "_compositions_upto", "_paired_compositions", "_is_canonical",
-    "_degrees_can_pair",
-    "_partitions_exact", "_weight_splits", "_cells_of", "_assemble",
-    "_root_choices", "_shape_twins", "_twin_ties", "_vertex_invariant",
-    "_kinds_pair", "_genus_pairs", "_without",
-    "canonical_key", "find_gammas",
-    "_gamma_classes", "_search", "_encode",
-)
+# The oracle's own code, and what the module docstring says the two
+# paths share: the graph data, relabel/strip_gamma, the checker cores
+# with gamma_violations, the input guards and _existence_projection;
+# and dataclasses.replace from the standard library.
+ORACLE_NAMES = frozenset({
+    "enum_nonsep_naive", "enum_sep_naive", "_root_budgets",
+    "_edge_multisets", "_spreads", "_naive_plain_graphs", "_relabelings",
+    "_bucket",
+})
+SHARED_NAMES = frozenset({
+    "relabel", "strip_gamma", "_nonsep_violations", "_sep_violations",
+    "gamma_violations", "_require_graph_model", "_require_sep_census",
+    "has_full_degree", "_existence_projection", "replace",
+})
+# Every other function in the module's namespace is fast-path code,
+# including the names only censusbench/tracer.py rebinds.
+FAST_PATH_NAMES = sorted(
+    name for name, obj in vars(enumerator).items()
+    if isinstance(obj, (FunctionType, BuiltinFunctionType))
+    and name not in ORACLE_NAMES | SHARED_NAMES)
 
 
 def test_naive_census_shares_nothing_with_the_fast_path(monkeypatch,
