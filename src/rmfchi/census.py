@@ -15,10 +15,8 @@ from __future__ import annotations
 
 import json
 import os
-from collections import deque
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
-from itertools import chain, islice
 
 from .enumerator import WorkLimitExceeded, WorkMeter
 from .euler import chi_compactification, chi_component, closed_form
@@ -39,8 +37,8 @@ _VARIANT_RANK = {Variant.NONSEP: 0, Variant.SEP: 1, Variant.SEP_EXT: 2}
 # Graph counts a pooled sweep keeps in flight per worker process: enough
 # that a worker finds its next job queued when it finishes one.
 _IN_FLIGHT_PER_WORKER = 4
-# Records a pooled sweep holds behind an unfinished one (about 400 bytes
-# each), and types it reads ahead to size its pool.
+# Types a pooled sweep lets wait behind the next one to hand out, as
+# finished records (about 400 bytes each) or unfinished jobs.
 _QUEUE_LIMIT = 4096
 
 
@@ -117,14 +115,17 @@ def _bounded_indices(values: Sequence[int], k: int, budget: int,
     polynomially many tuples where all combinations would be
     exponentially many in k.  It recurses once per distinct value a
     tuple uses, so neither k nor the values that take no part deepen
-    the recursion.
+    the recursion, and at the last value only into the tuple that
+    takes all k places, since a shorter one cannot be completed.
     """
     if k == 0:
         yield ()
         return
+    last = len(values) - 1
     for j in range(start, len(values)):
         v = values[j]
-        for count in range(min(k, budget // abs(v)) if v else k, 0, -1):
+        most = min(k, budget // abs(v)) if v else k
+        for count in range(most, k - 1 if j == last else 0, -1):
             for rest in _bounded_indices(values, k - count,
                                          budget - count * abs(v), j + 1):
                 yield (v,) * count + rest
@@ -206,18 +207,18 @@ def _pooled(types: Iterator[TopType],
             workers: int) -> Iterator[CensusRecord]:
     """Records of ``types`` in order, graph counts run by a :class:`_Pool`.
 
-    A type whose chi(N) has a closed form is recorded here at once; a
-    graph count becomes a numbered job, with at most
-    ``_IN_FLIGHT_PER_WORKER`` jobs per worker unfinished.  The queue
-    holds records and job numbers in list order, and its head is handed
-    out as soon as it is done; a job's exception is raised there.  The
-    pool starts at the first graph count, with no more workers than the
-    graph counts among it and the next ``_QUEUE_LIMIT`` types, and it is
-    shut down however the sweep ends.
+    Each type is numbered by its place in the list.  A type whose chi(N)
+    has a closed form is recorded here at once, under its number; a
+    graph count is sent out as the job with its number, with at most
+    ``_IN_FLIGHT_PER_WORKER`` jobs per worker unfinished.  Records are
+    handed out in number order as soon as the next number is done, and
+    a job's exception is raised there.  The pool of ``workers``
+    processes starts at the first graph count, and it is shut down
+    however the sweep ends.
     """
-    queue: deque = deque()
     done: dict[int, CensusRecord | Exception] = {}
-    jobs = unfinished = 0
+    next_out = unfinished = 0
+    window = _IN_FLIGHT_PER_WORKER * workers
     pool = None
 
     def receive(block: bool) -> None:
@@ -227,45 +228,33 @@ def _pooled(types: Iterator[TopType],
             unfinished -= 1
 
     def head() -> CensusRecord:
-        entry = queue.popleft()
-        if isinstance(entry, CensusRecord):
-            return entry
-        while entry not in done:
+        nonlocal next_out
+        while next_out not in done:
             receive(block=True)
-        outcome = done.pop(entry)
+        outcome = done.pop(next_out)
+        next_out += 1
         if isinstance(outcome, Exception):
             raise outcome
         return outcome
 
     try:
-        while (t := next(types, None)) is not None:
-            if len(queue) >= _QUEUE_LIMIT:
+        for job, t in enumerate(types):
+            if job - next_out >= _QUEUE_LIMIT:
                 yield head()
             if closed_form(t) is not None:
-                queue.append(record_for(t))
+                done[job] = record_for(t)
             else:
                 if pool is None:
-                    ahead, size = [], 1
-                    for u in islice(types, _QUEUE_LIMIT):
-                        ahead.append(u)
-                        size += closed_form(u) is None
-                        if size == workers:
-                            break
-                    types = chain(ahead, types)
-                    pool = _Pool(size)
-                    window = _IN_FLIGHT_PER_WORKER * size
+                    pool = _Pool(workers)
                 while unfinished >= window:
                     receive(block=True)
-                pool.submit(jobs, t)
-                queue.append(jobs)
-                jobs += 1
+                pool.submit(job, t)
                 unfinished += 1
             if unfinished:
                 receive(block=False)
-            while queue and (isinstance(queue[0], CensusRecord)
-                             or queue[0] in done):
+            while next_out in done:
                 yield head()
-        while queue:
+        while done or unfinished:
             yield head()
     finally:
         if pool is not None:

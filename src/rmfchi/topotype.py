@@ -247,7 +247,7 @@ def exists(t: TopType) -> ExistenceReport:
         return ExistenceReport(not bad, tuple(bad))
     bad = _exists_sep_base(t.g, t.n, t.indices)
     if t.variant is Variant.SEP_EXT:
-        if not admits_extension(replace(t, variant=Variant.SEP, xi=None)):
+        if not admits_extension(t):
             bad.append("admits-extension")
         half = (t.g - t.k + 1) // 2
         if not 0 <= t.xi <= half:

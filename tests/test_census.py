@@ -10,7 +10,7 @@ import queue
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from itertools import product
+from itertools import combinations_with_replacement, product
 
 import pytest
 
@@ -172,8 +172,7 @@ GOLDEN_GRAPH_COUNTS = ("0,2,0|", "1,2,0|", "1,3,0|1", "0,3,1|1")
 
 
 def test_worker_count_is_capped(monkeypatch, stand_in):
-    # The pool's size is capped by the CPUs and by the graph counts
-    # among the first graph count and the types read ahead of it.
+    # The pool is the size asked for, capped by the CPUs.
     pools = stand_in()
     bounds = SweepBounds(g_max=1, n_max=3, abs_i_max=2)
     golden = GOLDEN.read_text()
@@ -185,13 +184,9 @@ def test_worker_count_is_capped(monkeypatch, stand_in):
                           (2, 10**9)):
         monkeypatch.setattr(census.os, "cpu_count", lambda n=cpus: n)
         assert _jsonl(sweep(bounds, workers=workers)) == golden
-    # 4 CPUs and 4 graph counts; 4 graph counts; 3 asked; one CPU (or an
-    # unknown count) runs without a pool; 2 CPUs
-    assert [pool.size for pool in pools] == [4, 4, 3, 2]
-    # Reading one type ahead of 0,2,0| finds the graph count 1,2,0|.
-    monkeypatch.setattr(census, "_QUEUE_LIMIT", 1)
-    assert _jsonl(sweep(bounds, workers=64)) == golden
-    assert pools[-1].size == 2
+    # 4 CPUs; 64 CPUs; 3 asked; one CPU (or an unknown count) runs
+    # without a pool; 2 CPUs
+    assert [pool.size for pool in pools] == [4, 64, 3, 2]
     assert all(pool.shut_down for pool in pools)
 
 
@@ -293,6 +288,16 @@ def test_iter_types_is_sorted_and_existing():
     assert all(is_normal(t) for t in types)
 
 
+def _index_tuples(values, k: int, n: int):
+    # Every sorted k-tuple over ``values`` with at most n nonzero
+    # entries, which an existing type of degree n never exceeds since
+    # sum(|i|) <= n; listed without the census's own index lister.
+    nonzero = [v for v in values if v]
+    for m in range(min(k, n) + 1):
+        for picked in combinations_with_replacement(nonzero, m):
+            yield tuple(sorted(picked + (0,) * (k - m)))
+
+
 def _types_by_set_and_sort(bounds: SweepBounds) -> list:
     # The reference listing: every sign-orbit twin normalized, folded in
     # a set, and the set sorted.
@@ -302,12 +307,11 @@ def _types_by_set_and_sort(bounds: SweepBounds) -> list:
             cap = min(bounds.abs_i_max, n)
             if bounds.eps in (None, "0"):
                 for k in range(g + 1):
-                    for idx in census._bounded_indices(range(cap + 1), k, n):
+                    for idx in _index_tuples(range(cap + 1), k, n):
                         if exists(nonsep(g, n, idx)):
                             out.add(nonsep(g, n, idx))
             for k in range(1 + g % 2, g + 2, 2):
-                for idx in census._bounded_indices(range(-cap, cap + 1),
-                                                   k, n):
+                for idx in _index_tuples(range(-cap, cap + 1), k, n):
                     t = sep(g, n, idx)
                     if not exists(t):
                         continue
@@ -371,6 +375,23 @@ def test_index_listing_recursion_does_not_grow_with_the_length():
     # about 1,000 overflowed the interpreter's stack while being listed.
     assert list(census._bounded_indices((0, 1), 1500, 1)) \
         == [(0,) * 1500, (0,) * 1499 + (1,)]
+
+
+def test_index_listing_opens_no_tail_that_cannot_be_completed(monkeypatch):
+    # The box of the long CI catalog lists k zeros for each k <= g <=
+    # 300: one call per (g, k), and for k > 0 one more for the tuple.
+    # Opening a tail for every shorter run of zeros made 4,590,551.
+    calls = []
+    lister = census._bounded_indices
+
+    def counted(*args):
+        calls.append(args)
+        return lister(*args)
+
+    monkeypatch.setattr(census, "_bounded_indices", counted)
+    types = sum(1 for _ in iter_types(SweepBounds(300, 2, 0, eps="0")))
+    assert types == 45_451
+    assert len(calls) == 90_601
 
 
 def test_extension_refinements_replace_their_base():
