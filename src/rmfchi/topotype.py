@@ -62,6 +62,11 @@ class ExistenceReport:
         return self.exists
 
 
+def _integral(cls: type) -> bool:
+    """Whether values of ``cls`` are integers; ``bool`` does not count."""
+    return issubclass(cls, int) and cls is not bool
+
+
 @dataclass(frozen=True)
 class TopType:
     """A (possibly non-normalized) topological type.
@@ -78,8 +83,10 @@ class TopType:
     xi: int | None = None
 
     def __post_init__(self):
+        if not isinstance(self.variant, Variant):
+            raise NormalizationError("variant must be a Variant")
         for name in ("g", "n"):
-            if not isinstance(getattr(self, name), int):
+            if not _integral(type(getattr(self, name))):
                 raise NormalizationError(f"{name} must be an integer")
         if not 0 <= self.g <= MAX_GENUS:
             raise NormalizationError(f"g must satisfy 0 <= g <= {MAX_GENUS}")
@@ -87,19 +94,16 @@ class TopType:
             raise NormalizationError(f"n must satisfy 1 <= n <= {MAX_SHEETS}")
         if not isinstance(self.indices, tuple):
             raise NormalizationError("indices must be a tuple")
-        for i in self.indices:
-            if not isinstance(i, int):
-                raise NormalizationError("indices must be integers")
-        if self.variant is Variant.NONSEP:
-            if any(i < 0 for i in self.indices):
-                raise NormalizationError("non-separating indices must be >= 0")
-            if self.xi is not None:
-                raise NormalizationError("xi is defined only for sepext types")
-        elif self.variant is Variant.SEP:
+        # one test per distinct class: an index tuple is mostly zeros
+        if not all(map(_integral, set(map(type, self.indices)))):
+            raise NormalizationError("indices must be integers")
+        if self.variant is Variant.NONSEP and min(self.indices, default=0) < 0:
+            raise NormalizationError("non-separating indices must be >= 0")
+        if self.variant is not Variant.SEP_EXT:
             if self.xi is not None:
                 raise NormalizationError("xi is defined only for sepext types")
         else:
-            if not isinstance(self.xi, int):
+            if not _integral(type(self.xi)):
                 raise NormalizationError("sepext types need an integer xi")
             # xi counts handles on one side of a splitting of the
             # complement; it is well defined only when g - k + 1 is even.
@@ -143,38 +147,30 @@ def sign_flipped(t: TopType) -> TopType:
     """
     if t.variant is Variant.NONSEP:
         return t
-    flipped = tuple(-i for i in t.indices)
-    if t.variant is Variant.SEP:
-        return replace(t, indices=flipped)
-    half = (t.g - t.k + 1) // 2
-    return replace(t, indices=flipped, xi=half - t.xi)
+    xi = None if t.xi is None else (t.g - t.k + 1) // 2 - t.xi
+    return replace(t, indices=tuple(-i for i in t.indices), xi=xi)
+
+
+def _orbit_rank(t: TopType) -> tuple:
+    # xi is None for nonsep and sep types, which rank by indices alone
+    return tuple(sorted(t.indices)), -(t.xi or 0)
 
 
 def normalize(t: TopType) -> TopType:
-    """Canonical representative of the type.
+    """Canonical representative of the type; ``t`` itself if it is one.
 
-    Indices are sorted ascending.  For separating variants the
-    representative is the lexicographically larger of the two sorted
-    sign-orbit members, so an all-negative degree list comes out
-    positive.  When the two members coincide, an extended type still
-    identifies xi with (g - k + 1)/2 - xi, and the smaller value is kept.
+    The representative is the larger of ``t`` and :func:`sign_flipped`
+    ``(t)`` by (sorted indices, -xi), with its indices sorted ascending:
+    an all-negative degree list comes out positive, and of two members
+    with the same sorted indices the one with the smaller xi is kept.
     """
-    sorted_i = tuple(sorted(t.indices))
-    if t.variant is Variant.NONSEP:
-        return replace(t, indices=sorted_i)
-    other = sign_flipped(t)
-    flipped = tuple(sorted(other.indices))
-    if t.variant is Variant.SEP:
-        return replace(t, indices=max(sorted_i, flipped))
-    if flipped > sorted_i:
-        return replace(other, indices=flipped)
-    if flipped == sorted_i:
-        return replace(t, indices=sorted_i, xi=min(t.xi, other.xi))
-    return replace(t, indices=sorted_i)
+    best = max(t, sign_flipped(t), key=_orbit_rank)
+    indices = tuple(sorted(best.indices))
+    return best if best.indices == indices else replace(best, indices=indices)
 
 
 def is_normal(t: TopType) -> bool:
-    return t == normalize(t)
+    return normalize(t) is t
 
 
 def admits_extension(t: TopType) -> bool:
@@ -200,27 +196,6 @@ def has_full_degree(t: TopType) -> bool:
     return sum(abs(i) for i in t.indices) == t.n
 
 
-def _exists_sep_base(g: int, n: int, indices: tuple[int, ...]) -> list[str]:
-    k = len(indices)
-    total = sum(indices)
-    total_abs = sum(abs(i) for i in indices)
-    bad = []
-    if not 1 <= k <= g + 1:
-        bad.append("1<=k<=g+1")
-    if (k - (g + 1)) % 2 != 0:
-        bad.append("k=g+1 mod 2")
-    if (total - n) % 2 != 0:
-        bad.append("sum(i)=n mod 2")
-    # One of four admissible degree patterns must hold.
-    unit = n == 1 and g == 0 and k == 1 and abs(indices[0]) == 1
-    all_zero = n == 2 and k == g + 1 and all(i == 0 for i in indices)
-    full = n >= 2 and abs(total) == total_abs == n and all(i != 0 for i in indices)
-    slack = n >= 3 and total_abs <= n - 2
-    if not (unit or all_zero or full or slack):
-        bad.append("degree-pattern")
-    return bad
-
-
 def exists(t: TopType) -> ExistenceReport:
     """Existence test: does the type label a non-empty component?
 
@@ -235,22 +210,36 @@ def exists(t: TopType) -> ExistenceReport:
     Extended (g, n, 1 | I, xi) exists iff the underlying separating type
     exists, admits the extension, and 0 <= xi <= (g - k + 1)/2.
     """
-    if t.variant is Variant.NONSEP:
-        total = sum(t.indices)
-        bad = []
-        if not t.k <= t.g:
+    g, n, k, indices = t.g, t.n, t.k, t.indices
+    total = sum(indices)
+    separating = t.variant is not Variant.NONSEP
+    bad = []
+    if not separating:
+        if not k <= g:
             bad.append("k<=g")
-        if not total <= t.n - 2:
+        if not total <= n - 2:
             bad.append("sum(i)<=n-2")
-        if (total - t.n) % 2 != 0:
-            bad.append("sum(i)=n mod 2")
-        return ExistenceReport(not bad, tuple(bad))
-    bad = _exists_sep_base(t.g, t.n, t.indices)
+    else:
+        if not 1 <= k <= g + 1:
+            bad.append("1<=k<=g+1")
+        if (k - (g + 1)) % 2 != 0:
+            bad.append("k=g+1 mod 2")
+    if (total - n) % 2 != 0:
+        bad.append("sum(i)=n mod 2")
+    if separating:
+        # One of four admissible degree patterns must hold.
+        total_abs = sum(abs(i) for i in indices)
+        unit = n == 1 and g == 0 and k == 1 and abs(indices[0]) == 1
+        all_zero = n == 2 and k == g + 1 and all(i == 0 for i in indices)
+        full = (n >= 2 and abs(total) == total_abs == n
+                and all(i != 0 for i in indices))
+        slack = n >= 3 and total_abs <= n - 2
+        if not (unit or all_zero or full or slack):
+            bad.append("degree-pattern")
     if t.variant is Variant.SEP_EXT:
         if not admits_extension(t):
             bad.append("admits-extension")
-        half = (t.g - t.k + 1) // 2
-        if not 0 <= t.xi <= half:
+        if not 0 <= t.xi <= (g - k + 1) // 2:
             bad.append("0<=xi<=(g-k+1)/2")
     return ExistenceReport(not bad, tuple(bad))
 

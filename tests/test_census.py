@@ -28,6 +28,7 @@ from rmfchi.census import (
 from rmfchi.topotype import (
     MAX_GENUS,
     MAX_SHEETS,
+    TopType,
     Variant,
     admits_extension,
     exists,
@@ -381,17 +382,26 @@ def test_index_listing_opens_no_tail_that_cannot_be_completed(monkeypatch):
     # The box of the long CI catalog lists k zeros for each k <= g <=
     # 300: one call per (g, k), and for k > 0 one more for the tuple.
     # Opening a tail for every shorter run of zeros made 4,590,551.
+    # Each listed type is built once: a normal type is not rebuilt.
     calls = []
+    builds = []
     lister = census._bounded_indices
+    validate = TopType.__post_init__
 
     def counted(*args):
         calls.append(args)
         return lister(*args)
 
+    def built(t):
+        builds.append(None)
+        validate(t)
+
     monkeypatch.setattr(census, "_bounded_indices", counted)
+    monkeypatch.setattr(TopType, "__post_init__", built)
     types = sum(1 for _ in iter_types(SweepBounds(300, 2, 0, eps="0")))
     assert types == 45_451
     assert len(calls) == 90_601
+    assert len(builds) == 45_451
 
 
 def test_extension_refinements_replace_their_base():

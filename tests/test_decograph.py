@@ -293,6 +293,38 @@ def test_checkers_guard_their_domain():
         check_nonsep(_nonsep_path(), nonsep(0, 3, (3,)))
 
 
+def _disconnected_sep():
+    # the degrees of _sep_path on two components
+    vs = (Vertex(B, 0, True), Vertex(W), Vertex(B, 0, True), Vertex(W))
+    return DecoratedGraph(vs, (Edge(0, 1, 1), Edge(2, 3, 2)))
+
+
+def _sep_path_with_a_handle():
+    g = _sep_path()
+    return DecoratedGraph((g.vertices[0], Vertex(W, 1), g.vertices[2]),
+                          g.edges)
+
+
+@pytest.mark.parametrize("build, expected", [
+    (lambda: Vertex("w"), (ValueError, "color must be a Color")),
+    (lambda: DecoratedGraph.from_json_dict(
+        {"vertices": [{"id": 1, "color": "w", "weight": 0, "root": False}],
+         "edges": []}),
+     (ValueError, "vertex ids must be 0..n-1 in order")),
+    (lambda: check_sep(_disconnected_sep(), sep(1, 3, (1, 2))), "connected"),
+    (lambda: check_sep(_sep_path_with_a_handle(), sep(1, 3, (1, 2))),
+     "genus-equation"),
+])
+def test_bad_input_is_named(build, expected):
+    if isinstance(expected, str):
+        assert expected in build().clauses
+        return
+    cls, message = expected
+    with pytest.raises(cls) as err:
+        build()
+    assert type(err.value) is cls and str(err.value) == message
+
+
 def test_canonical_key_is_relabeling_invariant():
     rng = random.Random(90125)
     for g in (_nonsep_path(), _sep_path(), _heavy_edge(),

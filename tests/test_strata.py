@@ -126,3 +126,20 @@ def test_chi_identities_exhaustive():
     for r in range(13):
         for s in range(13):
             assert chi_cover(r, s) == (1 if r == 0 and s <= 1 else 0)
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: StratumSignature((0, 1), ()), "multiplicities must be positive"),
+    (lambda: StratumSignature((), (-1,)), "multiplicities must be positive"),
+    (lambda: StratumSignature((2, 1), ()),
+     "multiplicities must be non-decreasing"),
+    (lambda: StratumSignature((1,), (3, 2)),
+     "multiplicities must be non-decreasing"),
+    (lambda: cells_real(-1), "k must be >= 0"),
+    (lambda: chi_cover(-1, 0), "r and s must be >= 0"),
+    (lambda: chi_cover(0, -1), "r and s must be >= 0"),
+])
+def test_bad_arguments_are_named(build, message):
+    with pytest.raises(ValueError) as err:
+        build()
+    assert str(err.value) == message

@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import random
-from itertools import combinations_with_replacement, permutations
+import re
+from dataclasses import replace
+from itertools import combinations_with_replacement, permutations, product
 
 import pytest
 
@@ -67,6 +69,45 @@ def test_normalize_idempotent_exhaustive():
                         t = normalize(TopType(Variant.SEP, g, n, raw))
                         assert normalize(t) == t
                         assert is_normal(t)
+
+
+def _reference_normalize(t: TopType) -> TopType:
+    # The normal form stated variant by variant, with its own sign flip.
+    sorted_i = tuple(sorted(t.indices))
+    if t.variant is Variant.NONSEP:
+        return replace(t, indices=sorted_i)
+    flipped = tuple(sorted(-i for i in t.indices))
+    if t.variant is Variant.SEP:
+        return replace(t, indices=max(sorted_i, flipped))
+    other_xi = (t.g - t.k + 1) // 2 - t.xi
+    if flipped > sorted_i:
+        return replace(t, indices=flipped, xi=other_xi)
+    if flipped == sorted_i:
+        return replace(t, indices=sorted_i, xi=min(t.xi, other_xi))
+    return replace(t, indices=sorted_i)
+
+
+def test_normalize_matches_the_variant_by_variant_rule():
+    # every type with g <= 4, n <= 5, k <= 3, |i| <= 3, xi in -1..4
+    checked = 0
+    for variant, g, n, k in product(Variant, range(5), range(1, 6), range(4)):
+        xis = range(-1, 5) if variant is Variant.SEP_EXT else (None,)
+        for idx, xi in product(product(range(-3, 4), repeat=k), xis):
+            try:
+                t = TopType(variant, g, n, idx, xi)
+            except NormalizationError:
+                continue
+            want = _reference_normalize(t)
+            assert normalize(t) == want
+            assert is_normal(t) is (t == want)
+            checked += 1
+    assert checked == 46_625
+
+
+def test_a_normal_type_is_returned_as_it_is():
+    for t in (nonsep(2, 5, (0, 1)), sep(1, 3, (-1, 2)),
+              sepext(3, 4, (-1, 1), 0)):
+        assert normalize(t) is t
 
 
 def test_sign_flip_lands_in_the_same_normal_form():
@@ -221,6 +262,29 @@ def test_caps_enforced_with_an_error():
 def test_nonsep_rejects_negative_indices():
     with pytest.raises(NormalizationError):
         nonsep(1, 3, (-1,))
+
+
+@pytest.mark.parametrize("args, message", [
+    (("bogus", 2, 3, (1,), 0), "variant must be a Variant"),
+    (("nonsep", 1, 3, (1,)), "variant must be a Variant"),
+    ((Variant.NONSEP, 1.0, 3), "g must be an integer"),
+    ((Variant.NONSEP, True, 3), "g must be an integer"),
+    ((Variant.NONSEP, 1, True), "n must be an integer"),
+    ((Variant.NONSEP, 1, 3, [1]), "indices must be a tuple"),
+    ((Variant.NONSEP, 1, 3, (1.0,)), "indices must be integers"),
+    ((Variant.SEP, 1, 3, (True, 2)), "indices must be integers"),
+    ((Variant.NONSEP, 1, 3, (-1,), 0), "non-separating indices must be >= 0"),
+    ((Variant.NONSEP, 1, 3, (1,), 0), "xi is defined only for sepext types"),
+    ((Variant.SEP, 1, 3, (1, 2), 0), "xi is defined only for sepext types"),
+    ((Variant.SEP_EXT, 3, 4, (-1, 1)), "sepext types need an integer xi"),
+    ((Variant.SEP_EXT, 3, 4, (-1, 1), 0.0), "sepext types need an integer xi"),
+    ((Variant.SEP_EXT, 3, 4, (-1, 1), False),
+     "sepext types need an integer xi"),
+    ((Variant.SEP_EXT, 2, 4, (-1, 1), 0), "sepext requires g - k + 1 even"),
+])
+def test_constructor_names_the_first_bad_field(args, message):
+    with pytest.raises(NormalizationError, match=re.escape(message)):
+        TopType(*args)
 
 
 def test_parity_coherence_sweep():
