@@ -36,9 +36,7 @@ from .enumerator import (
     WorkMeter,
     bounds_for,
     enum_nonsep,
-    enum_nonsep_naive,
     enum_sep,
-    enum_sep_naive,
 )
 from .euler import (
     AdmitsExtensionError,
@@ -47,6 +45,7 @@ from .euler import (
     chi_compactification,
     chi_component,
 )
+from .oracle import enum_nonsep_naive, enum_sep_naive
 from .strata import (
     CellDescriptor,
     CellKind,

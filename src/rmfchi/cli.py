@@ -22,11 +22,10 @@ from .enumerator import (
     WorkMeter,
     _existence_projection,
     enum_nonsep,
-    enum_nonsep_naive,
     enum_sep,
-    enum_sep_naive,
 )
 from .euler import chi_compactification, chi_component
+from .oracle import enum_nonsep_naive, enum_sep_naive
 from .topotype import Variant, dimension, exists, format_type, parse_type
 
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from enum import Enum
 
-from .topotype import TopType, Variant, require_exists
+from .topotype import TopType, Variant, _integral, require_exists
 
 
 class Color(str, Enum):
@@ -44,8 +44,10 @@ class Vertex:
     def __post_init__(self):
         if not isinstance(self.color, Color):
             raise ValueError("color must be a Color")
-        if not isinstance(self.weight, int) or self.weight < 0:
+        if not _integral(type(self.weight)) or self.weight < 0:
             raise ValueError("vertex weight must be an integer >= 0")
+        if type(self.root) is not bool:
+            raise ValueError("root must be a bool")
 
 
 @dataclass(frozen=True)
@@ -57,7 +59,9 @@ class Edge:
     weight: int
 
     def __post_init__(self):
-        if not isinstance(self.weight, int) or self.weight < 1:
+        if not (_integral(type(self.u)) and _integral(type(self.v))):
+            raise ValueError("edge endpoints must be integers")
+        if not _integral(type(self.weight)) or self.weight < 1:
             raise ValueError("edge weight must be an integer >= 1")
 
 
@@ -103,7 +107,8 @@ class DecoratedGraph:
             if self.vertices[e.u].color is self.vertices[e.v].color:
                 raise ValueError(f"edge {e} joins two same-colored vertexes")
         if self.gamma is not None:
-            if sorted(self.gamma) != list(range(n)):
+            if (not all(map(_integral, set(map(type, self.gamma))))
+                    or sorted(self.gamma) != list(range(n))):
                 raise ValueError("gamma must be a permutation of the vertexes")
 
     def degrees(self) -> list[int]:
@@ -148,7 +153,7 @@ class DecoratedGraph:
             if item["id"] != i:
                 raise ValueError("vertex ids must be 0..n-1 in order")
             vertices.append(Vertex(Color(item["color"]), item["weight"],
-                                   bool(item["root"])))
+                                   item["root"]))
         edges = [Edge(item["u"], item["v"], item["weight"])
                  for item in data["edges"]]
         gamma = data.get("gamma")

@@ -13,8 +13,9 @@ convention; full-degree separating types are enumerated with
     PYTHONPATH=src python tests/graph_digests.py > digests.sha256
     cmp digests.sha256 tests/golden/graphs_g4_n8_i3.sha256
 
-An optional argument names another catalog; the g<=5, n<=9, |i|<=3
-box is frozen as ``tests/golden/graphs_g5_n9_i3.sha256``::
+An optional argument names another catalog; the g<=5 and g<=6 boxes
+(n<=9, |i|<=3) are frozen as ``tests/golden/graphs_g5_n9_i3.sha256``
+and ``tests/golden/graphs_g6_n9_i3.sha256``::
 
     PYTHONPATH=src python tests/graph_digests.py \
         tests/golden/catalog_g5_n9_i3.jsonl > digests.sha256

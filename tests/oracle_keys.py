@@ -32,13 +32,8 @@ import json
 import sys
 
 from rmfchi.decograph import canonical_key, strip_gamma
-from rmfchi.enumerator import (
-    GammaMode,
-    enum_nonsep,
-    enum_nonsep_naive,
-    enum_sep,
-    enum_sep_naive,
-)
+from rmfchi.enumerator import GammaMode, enum_nonsep, enum_sep
+from rmfchi.oracle import enum_nonsep_naive, enum_sep_naive
 from rmfchi.topotype import Variant, format_type
 from test_acceptance import _graph_model_types
 

@@ -22,14 +22,9 @@ from rmfchi.decograph import (
     relabel,
     strip_gamma,
 )
-from rmfchi.enumerator import (
-    GammaMode,
-    enum_nonsep,
-    enum_nonsep_naive,
-    enum_sep,
-    enum_sep_naive,
-)
+from rmfchi.enumerator import GammaMode, enum_nonsep, enum_sep
 from rmfchi.euler import Route, chi_compactification, chi_component
+from rmfchi.oracle import enum_nonsep_naive, enum_sep_naive
 from rmfchi.strata import (
     cells_lambda,
     cells_real,

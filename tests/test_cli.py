@@ -14,7 +14,8 @@ import sys
 from rmfchi import census, cli, strata
 from rmfchi.cli import main
 from rmfchi.decograph import DecoratedGraph, check_nonsep
-from rmfchi.enumerator import GammaMode, enum_nonsep, enum_nonsep_naive
+from rmfchi.enumerator import GammaMode, enum_nonsep
+from rmfchi.oracle import enum_nonsep_naive
 from rmfchi.topotype import nonsep, parse_type
 
 GOLDEN = pathlib.Path(__file__).parent / "golden" / "catalog_g1_n3_i2.jsonl"

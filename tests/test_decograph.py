@@ -311,9 +311,28 @@ def _sep_path_with_a_handle():
         {"vertices": [{"id": 1, "color": "w", "weight": 0, "root": False}],
          "edges": []}),
      (ValueError, "vertex ids must be 0..n-1 in order")),
+    (lambda: DecoratedGraph.from_json_dict(
+        {"vertices": [{"id": 0, "color": "w", "weight": 0, "root": "no"}],
+         "edges": []}),
+     (ValueError, "root must be a bool")),
+    (lambda: DecoratedGraph.from_json_dict(
+        {"vertices": [{"id": 0, "color": "w", "weight": True, "root": False}],
+         "edges": []}),
+     (ValueError, "vertex weight must be an integer >= 0")),
     (lambda: check_sep(_disconnected_sep(), sep(1, 3, (1, 2))), "connected"),
     (lambda: check_sep(_sep_path_with_a_handle(), sep(1, 3, (1, 2))),
      "genus-equation"),
+    (lambda: Vertex(W, True),
+     (ValueError, "vertex weight must be an integer >= 0")),
+    (lambda: Vertex(W, 0, 1), (ValueError, "root must be a bool")),
+    (lambda: Edge(0, 1, True),
+     (ValueError, "edge weight must be an integer >= 1")),
+    (lambda: Edge(True, 0, 1), (ValueError, "edge endpoints must be integers")),
+    (lambda: DecoratedGraph((Vertex(W), Vertex(B)), (Edge(0, 1.0, 1),)),
+     (ValueError, "edge endpoints must be integers")),
+    (lambda: DecoratedGraph((Vertex(W), Vertex(B)), (Edge(0, 1, 1),),
+                            (1.0, 0)),
+     (ValueError, "gamma must be a permutation of the vertexes")),
 ])
 def test_bad_input_is_named(build, expected):
     if isinstance(expected, str):

@@ -14,7 +14,7 @@ import pytest
 from oracle_keys import criterion_8_types, digest_lines
 from test_acceptance import _graph_model_types
 
-from rmfchi import decograph, enumerator
+from rmfchi import decograph, enumerator, oracle
 from rmfchi.cli import build_parser, main
 from rmfchi.decograph import (
     Color,
@@ -37,10 +37,9 @@ from rmfchi.enumerator import (
     WorkMeter,
     bounds_for,
     enum_nonsep,
-    enum_nonsep_naive,
     enum_sep,
-    enum_sep_naive,
 )
+from rmfchi.oracle import enum_nonsep_naive, enum_sep_naive
 from rmfchi.topotype import (
     NonExistentTypeError,
     Variant,
@@ -793,39 +792,75 @@ def test_oracle_skips_what_a_checker_clause_rejects(monkeypatch):
     # color-swapping bijection, this census used 3,055 units of work
     # and ran gamma_violations 1,732 times.
     calls = []
-    violations = enumerator.gamma_violations
+    violations = oracle.gamma_violations
 
     def counted(g, gamma, involution=True):
         calls.append(gamma)
         return violations(g, gamma, involution)
 
-    monkeypatch.setattr(enumerator, "gamma_violations", counted)
+    monkeypatch.setattr(oracle, "gamma_violations", counted)
     meter = WorkMeter()
     assert len(enum_nonsep_naive(nonsep(1, 5, (1,)), meter=meter)) == 3
     assert meter.used == 313
     assert len(calls) == 193
 
 
-# The oracle's own code, and what the module docstring says the two
-# paths share: the graph data, relabel/strip_gamma, the checker cores
-# with gamma_violations, the input guards and _existence_projection;
-# and dataclasses.replace from the standard library.
-ORACLE_NAMES = frozenset({
-    "enum_nonsep_naive", "enum_sep_naive", "_root_budgets",
-    "_edge_multisets", "_spreads", "_naive_plain_graphs", "_relabelings",
-    "_bucket",
-})
+def test_minimal_orders_count_the_automorphisms():
+    # Two minimal orders of a search differ by an automorphism, so
+    # |Aut(G)| is the number of orders _search returns.  The oracle's
+    # relabelings count the automorphisms directly: the color-preserving
+    # bijections that keep the vertex data and every pair's weights.
+    classes = symmetric = 0
+    for t in _graph_model_types(3, 6, 3):
+        for _, searched, plain in enumerator._plain_classes(bounds_for(t),
+                                                            WorkMeter()):
+            form = (plain.vertices, plain.cells())
+            automorphisms = sum(1 for h in oracle._relabelings(plain)
+                                if (h.vertices, h.cells()) == form)
+            assert automorphisms == len(searched[2]), (format_type(t), plain)
+            classes += 1
+            symmetric += automorphisms > 1
+    assert (classes, symmetric) == (303, 79)
+
+
+# What the oracle shares with the fast census besides the data classes
+# and the integer rule they check (_integral): its imports (the checker
+# cores with gamma_violations, relabel, the input guards and
+# dataclasses.replace), the helpers those run, and what ``rmfchi
+# graphs`` applies to its output (_existence_projection with
+# strip_gamma).
 SHARED_NAMES = frozenset({
-    "relabel", "strip_gamma", "_nonsep_violations", "_sep_violations",
-    "gamma_violations", "_require_graph_model", "_require_sep_census",
-    "has_full_degree", "_existence_projection", "replace",
+    "_integral", "relabel", "gamma_violations", "_parity_ok",
+    "_nonsep_violations", "_sep_violations", "_common_root_violations",
+    "_incidence", "_connected", "_require_graph_model", "require_exists",
+    "_require_sep_census", "has_full_degree", "replace",
+    "_existence_projection", "strip_gamma",
 })
-# Every other function in the module's namespace is fast-path code,
-# including the names only censusbench/tracer.py rebinds.
-FAST_PATH_NAMES = sorted(
-    name for name, obj in vars(enumerator).items()
-    if isinstance(obj, (FunctionType, BuiltinFunctionType))
-    and name not in ORACLE_NAMES | SHARED_NAMES)
+
+
+def _foreign_functions(module) -> list[str]:
+    # The functions in a module's namespace that the oracle neither
+    # defines nor shares.
+    return [name for name, obj in vars(module).items()
+            if isinstance(obj, (FunctionType, BuiltinFunctionType))
+            and obj.__module__ != oracle.__name__
+            and name not in SHARED_NAMES]
+
+
+# In enumerator and decograph, these are fast-path code, including the
+# names only censusbench/tracer.py rebinds; the oracle's entry points
+# that enumerator re-exports are the oracle's own.
+FAST_PATH_NAMES = [(module, name) for module in (enumerator, decograph)
+                   for name in _foreign_functions(module)]
+
+
+def test_oracle_holds_no_function_but_its_own_and_the_shared_ones():
+    # A fast-path helper imported into the oracle would be looked up in
+    # the oracle's namespace, out of reach of the patches below.
+    assert _foreign_functions(oracle) == []
+    patched = {name for _, name in FAST_PATH_NAMES}
+    assert {"_plain_classes", "_search", "canonical_key", "find_gammas",
+            "_gamma_classes"} <= patched
 
 
 def test_naive_census_shares_nothing_with_the_fast_path(monkeypatch,
@@ -860,8 +895,8 @@ def test_naive_census_shares_nothing_with_the_fast_path(monkeypatch,
     def fast_path(*args, **kwargs):
         raise AssertionError("the naive census ran fast-path code")
 
-    for name in FAST_PATH_NAMES:
-        monkeypatch.setattr(enumerator, name, fast_path)
+    for module, name in FAST_PATH_NAMES:
+        monkeypatch.setattr(module, name, fast_path)
     assert [census(t, **kwargs) for census, t, kwargs in runs] == expected
     assert printed() == expected_out
     with pytest.raises(FullDegreeError):
