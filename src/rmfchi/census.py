@@ -18,13 +18,14 @@ import os
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 
-from .enumerator import WorkLimitExceeded, WorkMeter
+from .enumerator import WorkLimitExceeded
 from .euler import chi_compactification, chi_component, closed_form
 from .topotype import (
     MAX_GENUS,
     MAX_SHEETS,
     TopType,
     Variant,
+    _integral,
     admits_extension,
     dimension,
     exists,
@@ -32,7 +33,8 @@ from .topotype import (
     is_normal,
 )
 
-_VARIANT_RANK = {Variant.NONSEP: 0, Variant.SEP: 1, Variant.SEP_EXT: 2}
+# The ``--eps`` name of each variant, in sort order.
+EPS_VARIANTS = {"0": Variant.NONSEP, "1": Variant.SEP, "ext": Variant.SEP_EXT}
 
 # Graph counts a pooled sweep keeps in flight per worker process: enough
 # that a worker finds its next job queued when it finishes one.
@@ -49,8 +51,8 @@ class SweepBounds:
     g_max and n_max may not exceed the type caps ``MAX_GENUS`` and
     ``MAX_SHEETS``, since no type beyond them can be built.
 
-    ``eps`` restricts the variants: "0" non-separating, "1" plain
-    separating, "ext" extended, None all of them.
+    ``eps`` restricts the variants to one, named by its key in
+    ``EPS_VARIANTS``; None keeps all of them.
     """
 
     g_max: int
@@ -59,14 +61,18 @@ class SweepBounds:
     eps: str | None = None
 
     def __post_init__(self):
+        if not all(_integral(type(b))
+                   for b in (self.g_max, self.n_max, self.abs_i_max)):
+            raise ValueError("bounds must be integers")
         if self.g_max < 0 or self.n_max < 1 or self.abs_i_max < 0:
             raise ValueError("bounds must cover at least one type")
         if self.g_max > MAX_GENUS:
             raise ValueError(f"g_max must be <= {MAX_GENUS}")
         if self.n_max > MAX_SHEETS:
             raise ValueError(f"n_max must be <= {MAX_SHEETS}")
-        if self.eps not in (None, "0", "1", "ext"):
-            raise ValueError("eps must be one of '0', '1', 'ext'")
+        if self.eps not in (None, *EPS_VARIANTS):
+            raise ValueError("eps must be one of "
+                             + ", ".join(map(repr, EPS_VARIANTS)))
 
 
 @dataclass(frozen=True)
@@ -100,8 +106,8 @@ class CensusRecord:
 
 
 def type_sort_key(t: TopType):
-    return (_VARIANT_RANK[t.variant], t.g, t.n, t.k, t.indices,
-            -1 if t.xi is None else t.xi)
+    return (list(EPS_VARIANTS.values()).index(t.variant), t.g, t.n, t.k,
+            t.indices, -1 if t.xi is None else t.xi)
 
 
 def _bounded_indices(values: Sequence[int], k: int, budget: int,
@@ -153,7 +159,7 @@ def iter_types(bounds: SweepBounds) -> Iterator[TopType]:
     k's tuples in increasing order, so types are built sorted.  Both
     members of a sign orbit are built; only its normal form is kept.
     """
-    for variant, eps in zip(_VARIANT_RANK, ("0", "1", "ext")):
+    for eps, variant in EPS_VARIANTS.items():
         if bounds.eps not in (None, eps):
             continue
         separating = variant is not Variant.NONSEP
@@ -181,7 +187,7 @@ def record_for(t: TopType) -> CensusRecord:
     dim = dimension(t)
     chi_h = chi_component(t).value
     try:
-        result = chi_compactification(t, meter=WorkMeter())
+        result = chi_compactification(t)
         return CensusRecord(t, dim, chi_h, result.value,
                             result.graph_count, result.route.value)
     except WorkLimitExceeded as exc:

@@ -19,7 +19,6 @@ from .enumerator import (
     FullDegreeError,
     GammaMode,
     WorkLimitExceeded,
-    WorkMeter,
     _existence_projection,
     enum_nonsep,
     enum_sep,
@@ -78,8 +77,7 @@ def _cmd_chi_n(args) -> int:
     mode = (GammaMode.EXISTENCE if args.gamma_existence
             else GammaMode.AS_DATA)
     result = chi_compactification(t, gamma_mode=mode,
-                                  short_circuit=not args.no_shortcircuit,
-                                  meter=WorkMeter())
+                                  short_circuit=not args.no_shortcircuit)
     return _chi_output(t, result, args.json)
 
 
@@ -255,7 +253,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--g-max", type=int, required=True)
     p.add_argument("--n-max", type=int, required=True)
     p.add_argument("--abs-i-max", type=int, required=True)
-    p.add_argument("--eps", choices=("0", "1", "ext"), default=None)
+    p.add_argument("--eps", choices=census.EPS_VARIANTS, default=None)
     p.add_argument("--out", required=True)
     p.add_argument("--format", choices=("jsonl", "csv"), default="jsonl")
     p.add_argument("--workers", type=int, default=1)

@@ -106,10 +106,8 @@ class DecoratedGraph:
                 raise ValueError(f"edge {e} has an endpoint out of range")
             if self.vertices[e.u].color is self.vertices[e.v].color:
                 raise ValueError(f"edge {e} joins two same-colored vertexes")
-        if self.gamma is not None:
-            if (not all(map(_integral, set(map(type, self.gamma))))
-                    or sorted(self.gamma) != list(range(n))):
-                raise ValueError("gamma must be a permutation of the vertexes")
+        if self.gamma is not None and not _is_permutation(self.gamma, n):
+            raise ValueError("gamma must be a permutation of the vertexes")
 
     def degrees(self) -> list[int]:
         return [len(at) for at in _incidence(self)]
@@ -200,6 +198,15 @@ def _connected(incident: list[list[tuple[int, int]]]) -> bool:
     return len(seen) == len(incident)
 
 
+def _is_permutation(perm, n: int) -> bool:
+    """Whether ``perm`` lists each of 0..n-1 once, in integers (no bools).
+
+    The entry types are tested first: sorting mixed types can raise.
+    """
+    return (all(map(_integral, set(map(type, perm))))
+            and sorted(perm) == list(range(n)))
+
+
 def strip_gamma(g: DecoratedGraph) -> DecoratedGraph:
     return replace(g, gamma=None) if g.gamma is not None else g
 
@@ -207,7 +214,7 @@ def strip_gamma(g: DecoratedGraph) -> DecoratedGraph:
 def relabel(g: DecoratedGraph, perm) -> DecoratedGraph:
     """Apply a vertex relabeling, perm[old] = new."""
     n = len(g.vertices)
-    if sorted(perm) != list(range(n)):
+    if not _is_permutation(perm, n):
         raise ValueError("perm must be a permutation of the vertexes")
     vertices = [None] * n
     for old, vert in enumerate(g.vertices):
@@ -244,7 +251,7 @@ def gamma_violations(g: DecoratedGraph, gamma: tuple[int, ...],
     """Clause-by-clause test that gamma is an admissible symmetry."""
     n = len(g.vertices)
     out = []
-    if sorted(gamma) != list(range(n)):
+    if not _is_permutation(gamma, n):
         return [Violation("gamma-permutation",
                           "gamma is not a permutation of the vertexes")]
     if involution:

@@ -74,8 +74,7 @@ def chi_component(t: TopType) -> ChiResult:
 def chi_compactification(t: TopType, *,
                          gamma_mode: GammaMode = GammaMode.AS_DATA,
                          involution: bool = True,
-                         short_circuit: bool = True,
-                         meter: WorkMeter | None = None) -> ChiResult:
+                         short_circuit: bool = True) -> ChiResult:
     """chi of the compactification N of the component.
 
     0 when some index or degree vanishes.  Otherwise: 1 for an extended
@@ -86,7 +85,12 @@ def chi_compactification(t: TopType, *,
     ``short_circuit=False`` forces the full-degree separating branch
     through the enumerator instead of the closed form; the route then
     records how the value was actually obtained.
+
+    The query makes its own work meter first, so a bad
+    ``RMF_WORK_LIMIT`` is an error before any other, also for a type
+    with a closed form.
     """
+    meter = WorkMeter()
     require_exists(t)
     _reject_unextended(t)
     closed = closed_form(t, short_circuit)

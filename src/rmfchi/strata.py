@@ -17,6 +17,8 @@ from dataclasses import dataclass
 from enum import Enum
 from itertools import product
 
+from .topotype import _integral
+
 # Hard caps on the two inputs whose output grows exponentially.  The
 # degree-m divisor space has 46,092 strata at m = 30, and a chain of s
 # conjugate-pair clusters has 2^(s-1) cells (32,768 at s = 16); past
@@ -74,6 +76,8 @@ def enumerate_strata(m: int) -> list[StratumSignature]:
 
     Ordered by (len(P) + len(Q), P, Q) so coarser strata come first.
     """
+    if not _integral(type(m)):
+        raise ValueError("m must be an integer")
     if not 0 <= m <= MAX_DEGREE:
         raise ValueError(f"m must satisfy 0 <= m <= {MAX_DEGREE}")
     found = []
@@ -114,6 +118,8 @@ def cells_real(k: int) -> list[CellDescriptor]:
     k and the centre-at-infinity cell of dimension k - 1.  For k = 0 the
     space is the one-point configuration, a single 0-cell.
     """
+    if not _integral(type(k)):
+        raise ValueError("k must be an integer")
     if k < 0:
         raise ValueError("k must be >= 0")
     if k == 0:
@@ -131,6 +137,8 @@ def cells_lambda(s: int) -> list[CellDescriptor]:
     cells; a cell has dimension 2 + 2 #strict + #weak.  Ordered with
     strict links first so the top cell leads.
     """
+    if not _integral(type(s)):
+        raise ValueError("s must be an integer")
     if not 1 <= s <= MAX_CHAIN:
         raise ValueError(f"s must satisfy 1 <= s <= {MAX_CHAIN}")
     # Link j is weak when bit j of the cell's index is set: product()
@@ -170,6 +178,8 @@ def chi_cover(r: int, s: int) -> int:
     Equals chi_w_real(r) * chi_w_lambda(s) with the s = 0 factor read as
     1, hence nonzero (= 1) exactly when r = 0 and s <= 1.
     """
+    if not (_integral(type(r)) and _integral(type(s))):
+        raise ValueError("r and s must be integers")
     if r < 0 or s < 0:
         raise ValueError("r and s must be >= 0")
     value = chi_w_real(r)

@@ -433,6 +433,11 @@ def test_bounds_validation():
         SweepBounds(1, 0, 2)
     with pytest.raises(ValueError):
         SweepBounds(1, 3, 2, eps="2")
+    # A float bound was built and then failed in sweep with a bare
+    # TypeError; a bool one was accepted.
+    for bad in ((1.5, 2, 1), (True, 2, 1), (1, 2.0, 1), (1, 2, False)):
+        with pytest.raises(ValueError, match="bounds must be integers"):
+            SweepBounds(*bad)
     # A box beyond the type caps once listed about 2e9 candidate types
     # before the first type past MAX_GENUS failed to build.
     SweepBounds(MAX_GENUS, MAX_SHEETS, 0)

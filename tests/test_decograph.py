@@ -393,6 +393,21 @@ def test_relabel_moves_decorations():
         relabel(g, (0, 0, 1, 2))
 
 
+@pytest.mark.parametrize("perm", [(True, False), (1.0, 0), ("a", 0)])
+def test_a_permutation_has_integer_entries(perm):
+    # relabel and gamma_violations once checked only sorted(perm), which
+    # admits bools, and raised a bare TypeError for floats and strings.
+    g = DecoratedGraph((Vertex(W), Vertex(B)), (Edge(0, 1, 2),))
+    with pytest.raises(ValueError) as err:
+        relabel(g, perm)
+    assert str(err.value) == "perm must be a permutation of the vertexes"
+    assert [v.clause for v in gamma_violations(g, perm)] \
+        == ["gamma-permutation"]
+    with pytest.raises(ValueError,
+                       match="gamma must be a permutation of the vertexes"):
+        DecoratedGraph(g.vertices, g.edges, perm)
+
+
 def test_json_round_trip():
     for g in (_nonsep_path(), _sep_path(), _heavy_edge(), _four_cycle()):
         data = g.to_json_dict()

@@ -824,13 +824,15 @@ def test_minimal_orders_count_the_automorphisms():
 
 
 # What the oracle shares with the fast census besides the data classes
-# and the integer rule they check (_integral): its imports (the checker
-# cores with gamma_violations, relabel, the input guards and
-# dataclasses.replace), the helpers those run, and what ``rmfchi
-# graphs`` applies to its output (_existence_projection with
+# and the integer and permutation rules they check (_integral,
+# _is_permutation, which relabel and gamma_violations run too): its
+# imports (the checker cores with gamma_violations, relabel, the input
+# guards and dataclasses.replace), the helpers those run, and what
+# ``rmfchi graphs`` applies to its output (_existence_projection with
 # strip_gamma).
 SHARED_NAMES = frozenset({
-    "_integral", "relabel", "gamma_violations", "_parity_ok",
+    "_integral", "_is_permutation", "relabel", "gamma_violations",
+    "_parity_ok",
     "_nonsep_violations", "_sep_violations", "_common_root_violations",
     "_incidence", "_connected", "_require_graph_model", "require_exists",
     "_require_sep_census", "has_full_degree", "replace",

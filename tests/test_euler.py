@@ -7,7 +7,7 @@ from itertools import combinations_with_replacement
 import pytest
 
 from rmfchi.census import SweepBounds, iter_types
-from rmfchi.enumerator import GammaMode, WorkLimitExceeded, WorkMeter
+from rmfchi.enumerator import GammaMode, WorkLimitExceeded
 from rmfchi.euler import (
     AdmitsExtensionError,
     Route,
@@ -132,4 +132,13 @@ def test_errors_propagate(monkeypatch):
         chi_compactification(nonsep(0, 3, (3,)))
     monkeypatch.setenv("RMF_WORK_LIMIT", "20")
     with pytest.raises(WorkLimitExceeded):
-        chi_compactification(nonsep(2, 5, (1,)), meter=WorkMeter())
+        chi_compactification(nonsep(2, 5, (1,)))
+
+
+def test_every_query_reads_the_work_limit(monkeypatch):
+    # The query makes its own meter first, so a bad limit is named even
+    # for a closed form, as the chi-n command always did.
+    monkeypatch.setenv("RMF_WORK_LIMIT", "lots")
+    for t in (sep(0, 2, (2,)), nonsep(2, 4, (0, 2)), nonsep(0, 3, (3,))):
+        with pytest.raises(ValueError, match="RMF_WORK_LIMIT must be"):
+            chi_compactification(t)

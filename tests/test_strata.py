@@ -138,6 +138,15 @@ def test_chi_identities_exhaustive():
     (lambda: cells_real(-1), "k must be >= 0"),
     (lambda: chi_cover(-1, 0), "r and s must be >= 0"),
     (lambda: chi_cover(0, -1), "r and s must be >= 0"),
+    # Non-integers once gave cells of dimension 1.5 and a complex chi.
+    (lambda: cells_real(1.5), "k must be an integer"),
+    (lambda: chi_w_real(1.5), "k must be an integer"),
+    (lambda: cells_lambda(True), "s must be an integer"),
+    (lambda: chi_w_lambda(2.0), "s must be an integer"),
+    (lambda: chi_cover(1.5, 0), "r and s must be integers"),
+    (lambda: chi_cover(0, True), "r and s must be integers"),
+    (lambda: enumerate_strata(2.0), "m must be an integer"),
+    (lambda: enumerate_strata(True), "m must be an integer"),
 ])
 def test_bad_arguments_are_named(build, message):
     with pytest.raises(ValueError) as err:
