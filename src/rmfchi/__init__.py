@@ -15,9 +15,13 @@ from .decograph import (
     Color,
     DecoratedGraph,
     Edge,
+    FullDegreeError,
+    GammaMode,
     Vertex,
     Violation,
     ViolationList,
+    WorkLimitExceeded,
+    WorkMeter,
     ZeroIndexError,
     are_isomorphic,
     canonical_key,
@@ -28,16 +32,7 @@ from .decograph import (
     relabel,
     strip_gamma,
 )
-from .enumerator import (
-    EnumerationBounds,
-    FullDegreeError,
-    GammaMode,
-    WorkLimitExceeded,
-    WorkMeter,
-    bounds_for,
-    enum_nonsep,
-    enum_sep,
-)
+from .enumerator import EnumerationBounds, bounds_for, enum_nonsep, enum_sep
 from .euler import (
     AdmitsExtensionError,
     ChiResult,

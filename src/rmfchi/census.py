@@ -18,7 +18,7 @@ import os
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 
-from .enumerator import WorkLimitExceeded
+from .decograph import WorkLimitExceeded
 from .euler import chi_compactification, chi_component, closed_form
 from .topotype import (
     MAX_GENUS,
@@ -197,16 +197,19 @@ def record_for(t: TopType) -> CensusRecord:
 def sweep(bounds: SweepBounds, *, workers: int = 1) -> Iterator[CensusRecord]:
     """Census of the box, in sort order, one record per existing type.
 
-    Each record is yielded once it and those before it are done, so a
-    sweep that fails partway has already handed out the earlier ones.
-    With more than one worker (and CPU), graph counts run in worker
-    processes and closed forms in this one.
+    ``workers`` must be an integer >= 1; that is checked by the call,
+    before any record is asked for.  Each record is handed out once it
+    and those before it are done, so a sweep that fails partway has
+    already handed out the earlier ones.  With more than one worker (and
+    CPU), graph counts run in worker processes and closed forms in this
+    one.
     """
+    if not _integral(type(workers)) or workers < 1:
+        raise ValueError("workers must be an integer >= 1")
     workers = min(workers, os.cpu_count() or 1)
-    if workers <= 1:
-        yield from map(record_for, iter_types(bounds))
-    else:
-        yield from _pooled(iter_types(bounds), workers)
+    if workers == 1:
+        return map(record_for, iter_types(bounds))
+    return _pooled(iter_types(bounds), workers)
 
 
 def _pooled(types: Iterator[TopType],

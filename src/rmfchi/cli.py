@@ -15,14 +15,13 @@ import json
 import sys
 
 from . import census, strata
-from .enumerator import (
+from .decograph import (
     FullDegreeError,
     GammaMode,
     WorkLimitExceeded,
     _existence_projection,
-    enum_nonsep,
-    enum_sep,
 )
+from .enumerator import enum_nonsep, enum_sep
 from .euler import chi_compactification, chi_component
 from .oracle import enum_nonsep_naive, enum_sep_naive
 from .topotype import Variant, dimension, exists, format_type, parse_type
@@ -177,15 +176,15 @@ def _cmd_verify_cells(args) -> int:
 def _cmd_catalog(args) -> int:
     bounds = census.SweepBounds(args.g_max, args.n_max, args.abs_i_max,
                                 args.eps)
-    if args.workers < 1:
-        raise ValueError("--workers must be >= 1")
+    records = census.sweep(bounds, workers=args.workers)
     writer = census.write_csv if args.format == "csv" else census.write_jsonl
-    # The output is opened before the sweep, so a bad path fails at once.
-    # Each record is written when it is done; writing or closing can
-    # still fail (a full disk), and records written until then remain.
+    # The output is opened before the first record is computed, so a bad
+    # path fails at once.  Each record is written when it is done;
+    # writing or closing can still fail (a full disk), and records
+    # written until then remain.
     try:
         with open(args.out, "w", encoding="utf-8") as fh:
-            count = writer(census.sweep(bounds, workers=args.workers), fh)
+            count = writer(records, fh)
     except OSError as exc:
         raise ValueError(f"cannot write {args.out}: {exc.strerror}") from None
     if args.json:

@@ -14,14 +14,24 @@ clause, and :func:`canonical_key` gives a complete isomorphism invariant
 used for deduplication.  :func:`find_gammas` reads the symmetries off
 the same canonical search, run on the graph and on its color-swapped
 copy, and ``_gamma_classes`` keys them from the graph's own search.
+
+The last section is the contract both censuses work under, the fast
+one of :mod:`rmfchi.enumerator` and the oracle of :mod:`rmfchi.oracle`:
+the work meter that every generated object is charged against so
+runaway inputs fail fast instead of hanging, the gamma modes with their
+one check, the separating-census guard and the existence projection.
+Holding it here, below both, is what lets the oracle import nothing of
+the fast path.
 """
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, replace
 from enum import Enum
 
-from .topotype import TopType, Variant, _integral, require_exists
+from .topotype import (TopType, Variant, _integral, has_full_degree,
+                       require_exists)
 
 
 class Color(str, Enum):
@@ -671,3 +681,100 @@ def are_isomorphic(a: DecoratedGraph, b: DecoratedGraph) -> bool:
     if (a.gamma is None) != (b.gamma is None):
         return False
     return canonical_key(a) == canonical_key(b)
+
+
+# ---------------------------------------------------------------------------
+# the census contract: what the fast census and the oracle both use
+
+
+DEFAULT_WORK_LIMIT = 100_000_000
+WORK_LIMIT_ENV = "RMF_WORK_LIMIT"
+
+
+class WorkLimitExceeded(RuntimeError):
+    """The enumeration touched more objects than the configured budget."""
+
+
+class FullDegreeError(ValueError):
+    """Separating full-degree types short-circuit to a closed form."""
+
+
+class WorkMeter:
+    """Counts generated objects and aborts past ``RMF_WORK_LIMIT``."""
+
+    def __init__(self):
+        text = os.environ.get(WORK_LIMIT_ENV, str(DEFAULT_WORK_LIMIT))
+        try:
+            limit = int(text)
+        except ValueError:
+            limit = 0
+        if limit < 1:
+            raise ValueError(f"{WORK_LIMIT_ENV} must be an integer >= 1, "
+                             f"got {text!r}")
+        self.limit = limit
+        self.used = 0
+
+    def tick(self):
+        self.used += 1
+        if self.used > self.limit:
+            raise WorkLimitExceeded(
+                f"work limit {self.limit} exceeded; raise {WORK_LIMIT_ENV} "
+                "or narrow the input")
+
+
+class GammaMode(str, Enum):
+    """How non-separating graphs are counted.
+
+    AS_DATA counts pairs (graph, gamma) up to isomorphism conjugating
+    gamma; EXISTENCE counts underlying graphs that admit at least one
+    admissible gamma.
+    """
+
+    AS_DATA = "as-data"
+    EXISTENCE = "existence"
+
+
+def _require_gamma_mode(gamma_mode) -> None:
+    """Raise unless ``gamma_mode`` is a :class:`GammaMode`.
+
+    A mode's value is a string, but a string is not a mode: the
+    censuses test the mode by identity, and the two routes would read
+    a string as two different modes.
+    """
+    if not isinstance(gamma_mode, GammaMode):
+        raise ValueError("gamma_mode must be a GammaMode")
+
+
+def _existence_projection(as_data: list[DecoratedGraph]
+                          ) -> list[DecoratedGraph]:
+    """Per underlying graph, the first of a route's as-data graphs: on
+    the fast census, sorted by key, the one with the smallest key; on
+    the oracle's, the one :func:`rmfchi.oracle.enum_nonsep_naive` keeps
+    in EXISTENCE mode.
+
+    It groups on the labelled graph ``strip_gamma(g)``, with no search.
+    That is exact because each route puts all the as-data graphs of one
+    underlying graph on one labelling.  The fast route's are ``plain``
+    with a gamma, for one ``plain`` per plain class, and no two plain
+    classes are isomorphic.  The oracle's are bucketed in the order the
+    labelled graphs are reached, and every gamma class of an underlying
+    graph has a member on the first of them, so the bucket keeps them
+    all there.  Canonical relabelling must keep this, or group by key.
+    """
+    chosen: dict[DecoratedGraph, DecoratedGraph] = {}
+    for g in as_data:
+        chosen.setdefault(strip_gamma(g), g)
+    return list(chosen.values())
+
+
+def _require_sep_census(t: TopType, allow_full_degree: bool):
+    """Raise unless a separating census of the type may run.
+
+    The type must have a separating graph model; a full-degree type has
+    a closed form and is enumerated only when the caller asks for it.
+    """
+    _require_graph_model(t, Variant.SEP)
+    if has_full_degree(t) and not allow_full_degree:
+        raise FullDegreeError(
+            "full-degree separating types are a closed form; "
+            "pass allow_full_degree=True to enumerate anyway")

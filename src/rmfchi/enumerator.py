@@ -9,22 +9,18 @@ never the first of its class (the proof is in :func:`_decorations`).
 One loop serves both variants, and non-separating classes then get one
 gamma per conjugacy class from :func:`rmfchi.decograph._gamma_classes`,
 which reuses that search.
-:mod:`rmfchi.oracle` computes the same census from the definitions, to
-cross-validate this one.  :func:`_existence_projection` is the one
-piece applied to both: the fast census takes its EXISTENCE graphs from
-it, and ``rmfchi graphs`` derives one convention's list from the
-other's with it on either route.
 
-Both censuses charge every generated object against a work meter so
-runaway inputs fail fast instead of hanging.
+This module holds only that fast path.  :mod:`rmfchi.oracle` computes
+the same census from the definitions, to cross-validate this one.  What
+the two share (the work meter, the gamma modes, the census guards and
+the existence projection from which the fast census takes its
+EXISTENCE graphs) lives in :mod:`rmfchi.decograph`.
 """
 
 from __future__ import annotations
 
-import os
 from bisect import bisect_right
 from dataclasses import dataclass
-from enum import Enum
 from itertools import combinations, product
 from operator import add
 
@@ -32,66 +28,27 @@ from .decograph import (
     Color,
     DecoratedGraph,
     Edge,
+    GammaMode,
     Vertex,
+    WorkMeter,
     _encode,
+    _existence_projection,
     _gamma_classes,
     _nonsep_violations,
+    _require_gamma_mode,
     _require_graph_model,
+    _require_sep_census,
     _search,
     _sep_violations,
     canonical_key,  # not called here; censusbench/tracer.py rebinds it
     check_nonsep,  # not called here; censusbench/tracer.py rebinds it
     check_sep,  # not called here; censusbench/tracer.py rebinds it
     find_gammas,  # not called here; censusbench/tracer.py rebinds it
-    strip_gamma,
 )
-from .topotype import TopType, Variant, format_type, has_full_degree
-
-DEFAULT_WORK_LIMIT = 100_000_000
-WORK_LIMIT_ENV = "RMF_WORK_LIMIT"
-
-
-class WorkLimitExceeded(RuntimeError):
-    """The enumeration touched more objects than the configured budget."""
-
-
-class FullDegreeError(ValueError):
-    """Separating full-degree types short-circuit to a closed form."""
-
-
-class WorkMeter:
-    """Counts generated objects and aborts past ``RMF_WORK_LIMIT``."""
-
-    def __init__(self):
-        text = os.environ.get(WORK_LIMIT_ENV, str(DEFAULT_WORK_LIMIT))
-        try:
-            limit = int(text)
-        except ValueError:
-            limit = 0
-        if limit < 1:
-            raise ValueError(f"{WORK_LIMIT_ENV} must be an integer >= 1, "
-                             f"got {text!r}")
-        self.limit = limit
-        self.used = 0
-
-    def tick(self):
-        self.used += 1
-        if self.used > self.limit:
-            raise WorkLimitExceeded(
-                f"work limit {self.limit} exceeded; raise {WORK_LIMIT_ENV} "
-                "or narrow the input")
-
-
-class GammaMode(str, Enum):
-    """How non-separating graphs are counted.
-
-    AS_DATA counts pairs (graph, gamma) up to isomorphism conjugating
-    gamma; EXISTENCE counts underlying graphs that admit at least one
-    admissible gamma.
-    """
-
-    AS_DATA = "as-data"
-    EXISTENCE = "existence"
+# not called here; censusbench/workloads.py calls them and
+# censusbench/tracer.py rebinds them
+from .oracle import enum_nonsep_naive, enum_sep_naive
+from .topotype import TopType, Variant, format_type
 
 
 @dataclass(frozen=True)
@@ -659,41 +616,6 @@ def _checked(t: TopType, graphs: list[DecoratedGraph],
     return graphs
 
 
-def _existence_projection(as_data: list[DecoratedGraph]
-                          ) -> list[DecoratedGraph]:
-    """Per underlying graph, the first of a route's as-data graphs: on
-    the fast census, sorted by key, the one with the smallest key; on
-    the oracle's, the one :func:`rmfchi.oracle.enum_nonsep_naive` keeps
-    in EXISTENCE mode.
-
-    It groups on the labelled graph ``strip_gamma(g)``, with no search.
-    That is exact because each route puts all the as-data graphs of one
-    underlying graph on one labelling.  The fast route's are ``plain``
-    with a gamma, for one ``plain`` per plain class, and no two plain
-    classes are isomorphic.  The oracle's are bucketed in the order the
-    labelled graphs are reached, and every gamma class of an underlying
-    graph has a member on the first of them, so the bucket keeps them
-    all there.  Canonical relabelling must keep this, or group by key.
-    """
-    chosen: dict[DecoratedGraph, DecoratedGraph] = {}
-    for g in as_data:
-        chosen.setdefault(strip_gamma(g), g)
-    return list(chosen.values())
-
-
-def _require_sep_census(t: TopType, allow_full_degree: bool):
-    """Raise unless a separating census of the type may run.
-
-    The type must have a separating graph model; a full-degree type has
-    a closed form and is enumerated only when the caller asks for it.
-    """
-    _require_graph_model(t, Variant.SEP)
-    if has_full_degree(t) and not allow_full_degree:
-        raise FullDegreeError(
-            "full-degree separating types are a closed form; "
-            "pass allow_full_degree=True to enumerate anyway")
-
-
 def enum_nonsep(t: TopType, *, gamma_mode: GammaMode = GammaMode.AS_DATA,
                 involution: bool = True,
                 meter: WorkMeter | None = None) -> list[DecoratedGraph]:
@@ -707,6 +629,7 @@ def enum_nonsep(t: TopType, *, gamma_mode: GammaMode = GammaMode.AS_DATA,
     one underlying graph all share its one labelled plain graph.
     """
     _require_graph_model(t, Variant.NONSEP)
+    _require_gamma_mode(gamma_mode)
     meter = meter or WorkMeter()
     bounds = _bounds(t)
     found: dict[bytes, DecoratedGraph] = {}
@@ -729,10 +652,3 @@ def enum_sep(t: TopType, *, allow_full_degree: bool = False,
     meter = meter or WorkMeter()
     found = {key: g for key, _, g in _plain_classes(_bounds(t), meter)}
     return _checked(t, [g for _, g in sorted(found.items())])
-
-
-# The oracle imports WorkMeter, GammaMode and _require_sep_census from
-# here, so it is imported after them.  Nothing here calls it: the two
-# names stay because censusbench/workloads.py calls them in this module
-# and censusbench/tracer.py rebinds them here.
-from .oracle import enum_nonsep_naive, enum_sep_naive  # noqa: E402

@@ -14,7 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .enumerator import GammaMode, WorkMeter, enum_nonsep, enum_sep
+from .decograph import GammaMode, WorkMeter, _require_gamma_mode
+from .enumerator import enum_nonsep, enum_sep
 from .topotype import (TopType, Variant, admits_extension, has_full_degree,
                        require_exists)
 
@@ -87,10 +88,11 @@ def chi_compactification(t: TopType, *,
     records how the value was actually obtained.
 
     The query makes its own work meter first, so a bad
-    ``RMF_WORK_LIMIT`` is an error before any other, also for a type
-    with a closed form.
+    ``RMF_WORK_LIMIT`` is an error before any other, and then checks
+    ``gamma_mode``, also for a type with a closed form.
     """
     meter = WorkMeter()
+    _require_gamma_mode(gamma_mode)
     require_exists(t)
     _reject_unextended(t)
     closed = closed_form(t, short_circuit)

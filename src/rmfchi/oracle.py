@@ -10,8 +10,10 @@ genus or root flag (``gamma-vertex-data``).  It exists so the fast
 census of :mod:`rmfchi.enumerator` can be cross-validated and should
 only be used on small types.
 
-The imports below are all it shares with the fast census: the graph
-data classes, ``relabel``, the checker cores with their gamma clauses
+The imports below are all it shares with the fast census, and all come
+from :mod:`rmfchi.decograph` and :mod:`rmfchi.topotype`, none from
+:mod:`rmfchi.enumerator`: the graph data classes, ``relabel``, the
+checker cores with their gamma clauses
 (:func:`rmfchi.decograph.gamma_violations`), the input guards, the work
 meter and the gamma modes.  It charges every generated object against
 the meter so runaway inputs fail fast instead of hanging.
@@ -26,14 +28,17 @@ from .decograph import (
     Color,
     DecoratedGraph,
     Edge,
+    GammaMode,
     Vertex,
+    WorkMeter,
     _nonsep_violations,
+    _require_gamma_mode,
     _require_graph_model,
+    _require_sep_census,
     _sep_violations,
     gamma_violations,
     relabel,
 )
-from .enumerator import GammaMode, WorkMeter, _require_sep_census
 from .topotype import TopType, Variant
 
 
@@ -186,6 +191,7 @@ def enum_nonsep_naive(t: TopType, *,
     smallest canonical key.
     """
     _require_graph_model(t, Variant.NONSEP)
+    _require_gamma_mode(gamma_mode)
     meter = meter or WorkMeter()
 
     def structural_ok(g: DecoratedGraph) -> bool:

@@ -31,8 +31,8 @@ import hashlib
 import json
 import sys
 
-from rmfchi.decograph import canonical_key, strip_gamma
-from rmfchi.enumerator import GammaMode, enum_nonsep, enum_sep
+from rmfchi.decograph import GammaMode, canonical_key, strip_gamma
+from rmfchi.enumerator import enum_nonsep, enum_sep
 from rmfchi.oracle import enum_nonsep_naive, enum_sep_naive
 from rmfchi.topotype import Variant, format_type
 from test_acceptance import _graph_model_types

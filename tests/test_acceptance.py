@@ -17,12 +17,13 @@ from rmfchi.decograph import (
     Edge,
     Vertex,
     Color,
+    GammaMode,
     are_isomorphic,
     canonical_key,
     relabel,
     strip_gamma,
 )
-from rmfchi.enumerator import GammaMode, enum_nonsep, enum_sep
+from rmfchi.enumerator import enum_nonsep, enum_sep
 from rmfchi.euler import Route, chi_compactification, chi_component
 from rmfchi.oracle import enum_nonsep_naive, enum_sep_naive
 from rmfchi.strata import (

@@ -447,6 +447,15 @@ def test_bounds_validation():
         SweepBounds(0, MAX_SHEETS + 1, 0)
 
 
+@pytest.mark.parametrize("workers", [0, -3, True, 1.5, "2", None])
+def test_sweep_checks_its_worker_count_when_called(workers):
+    # A float once died in the pool with a bare TypeError, and 0, -3 and
+    # True ran sequentially without a word.  The call itself raises,
+    # before any record is asked for.
+    with pytest.raises(ValueError, match="workers must be an integer >= 1"):
+        sweep(SweepBounds(g_max=1, n_max=3, abs_i_max=2), workers=workers)
+
+
 def test_work_limit_flags_the_record(monkeypatch):
     monkeypatch.setenv("RMF_WORK_LIMIT", "20")
     rec = record_for(nonsep(2, 5, (1,)))

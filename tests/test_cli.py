@@ -13,8 +13,8 @@ import sys
 
 from rmfchi import census, cli, strata
 from rmfchi.cli import main
-from rmfchi.decograph import DecoratedGraph, check_nonsep
-from rmfchi.enumerator import GammaMode, enum_nonsep
+from rmfchi.decograph import DecoratedGraph, GammaMode, check_nonsep
+from rmfchi.enumerator import enum_nonsep
 from rmfchi.oracle import enum_nonsep_naive
 from rmfchi.topotype import nonsep, parse_type
 
@@ -304,8 +304,11 @@ def test_high_genus_catalog_matches_golden(tmp_path):
 
 def test_catalog_unwritable_out_fails_before_the_sweep(tmp_path, capsys,
                                                        monkeypatch):
+    # Calling sweep only checks its arguments; records are computed when
+    # they are asked for, and none may be before the output is opened.
     def no_sweep(*args, **kwargs):
         raise AssertionError("the sweep ran before the output was opened")
+        yield
 
     monkeypatch.setattr(census, "sweep", no_sweep)
     out = tmp_path / "missing" / "x.jsonl"
@@ -355,7 +358,8 @@ def test_catalog_rejects_workers_below_one(tmp_path, capsys):
         assert main(["catalog", "--g-max", "1", "--n-max", "3",
                      "--abs-i-max", "2", "--workers", workers,
                      "--out", str(out)]) == 1
-        assert capsys.readouterr().err == "error: --workers must be >= 1\n"
+        assert capsys.readouterr().err == (
+            "error: workers must be an integer >= 1\n")
         assert not out.exists()
 
 

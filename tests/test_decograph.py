@@ -15,6 +15,7 @@ from rmfchi.decograph import (
     DecoratedGraph,
     Edge,
     Vertex,
+    WorkMeter,
     ZeroIndexError,
     are_isomorphic,
     canonical_key,
@@ -25,7 +26,7 @@ from rmfchi.decograph import (
     relabel,
     strip_gamma,
 )
-from rmfchi.enumerator import WorkMeter, _plain_classes, bounds_for
+from rmfchi.enumerator import _plain_classes, bounds_for
 from rmfchi.topotype import NonExistentTypeError, nonsep, parse_type, sep
 
 W, B = Color.WHITE, Color.BLACK

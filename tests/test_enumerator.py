@@ -17,10 +17,15 @@ from test_acceptance import _graph_model_types
 from rmfchi import decograph, enumerator, oracle
 from rmfchi.cli import build_parser, main
 from rmfchi.decograph import (
+    DEFAULT_WORK_LIMIT,
     Color,
     DecoratedGraph,
     Edge,
+    FullDegreeError,
+    GammaMode,
     Vertex,
+    WorkLimitExceeded,
+    WorkMeter,
     ZeroIndexError,
     canonical_key,
     check_nonsep,
@@ -29,16 +34,12 @@ from rmfchi.decograph import (
     strip_gamma,
 )
 from rmfchi.enumerator import (
-    DEFAULT_WORK_LIMIT,
     EnumerationBounds,
-    FullDegreeError,
-    GammaMode,
-    WorkLimitExceeded,
-    WorkMeter,
     bounds_for,
     enum_nonsep,
     enum_sep,
 )
+from rmfchi.euler import chi_compactification
 from rmfchi.oracle import enum_nonsep_naive, enum_sep_naive
 from rmfchi.topotype import (
     NonExistentTypeError,
@@ -97,6 +98,22 @@ def test_gamma_modes():
     assert sorted(set(plain(as_data))) == plain(existence)
     for g in as_data + existence:
         assert g.gamma is not None
+
+
+@pytest.mark.parametrize("mode", ["existence", "bogus"])
+def test_a_gamma_mode_is_a_gamma_mode_on_every_route(mode):
+    # Each route once tested the mode by identity on its own: on this
+    # type "existence" gave 6 graphs on the fast route (read as as-data)
+    # and 5 on the oracle, and "bogus" was accepted the same way.
+    t = nonsep(0, 6, ())
+    for census in (enum_nonsep, enum_nonsep_naive):
+        with pytest.raises(ValueError, match="gamma_mode must be a GammaMode"):
+            census(t, gamma_mode=mode, involution=False)
+    # The query checks the mode before it routes, so a closed form is
+    # no way round the rule.
+    for query in (t, sep(0, 2, (2,))):
+        with pytest.raises(ValueError, match="gamma_mode must be a GammaMode"):
+            chi_compactification(query, gamma_mode=mode, involution=False)
 
 
 def test_enumeration_guards():
@@ -523,7 +540,7 @@ def _unfiltered_nonsep(t, gamma_mode, involution, swap_cuts_off):
                 found.setdefault(canonical_key(g), g)
     graphs = [g for _, g in sorted(found.items())]
     if gamma_mode is GammaMode.EXISTENCE:
-        graphs = enumerator._existence_projection(graphs)
+        graphs = decograph._existence_projection(graphs)
     return graphs
 
 
@@ -827,15 +844,16 @@ def test_minimal_orders_count_the_automorphisms():
 # and the integer and permutation rules they check (_integral,
 # _is_permutation, which relabel and gamma_violations run too): its
 # imports (the checker cores with gamma_violations, relabel, the input
-# guards and dataclasses.replace), the helpers those run, and what
-# ``rmfchi graphs`` applies to its output (_existence_projection with
-# strip_gamma).
+# guards with the gamma-mode rule and dataclasses.replace), the helpers
+# those run, and what ``rmfchi graphs`` applies to its output
+# (_existence_projection with strip_gamma).
 SHARED_NAMES = frozenset({
     "_integral", "_is_permutation", "relabel", "gamma_violations",
     "_parity_ok",
     "_nonsep_violations", "_sep_violations", "_common_root_violations",
     "_incidence", "_connected", "_require_graph_model", "require_exists",
-    "_require_sep_census", "has_full_degree", "replace",
+    "_require_sep_census", "_require_gamma_mode", "has_full_degree",
+    "replace",
     "_existence_projection", "strip_gamma",
 })
 

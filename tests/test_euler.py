@@ -7,7 +7,7 @@ from itertools import combinations_with_replacement
 import pytest
 
 from rmfchi.census import SweepBounds, iter_types
-from rmfchi.enumerator import GammaMode, WorkLimitExceeded
+from rmfchi.decograph import GammaMode, WorkLimitExceeded
 from rmfchi.euler import (
     AdmitsExtensionError,
     Route,
