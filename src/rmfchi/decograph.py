@@ -12,8 +12,9 @@ color-swapping symmetry gamma, recorded as a vertex permutation.
 The checkers validate a graph against a topological type clause by
 clause, and :func:`canonical_key` gives a complete isomorphism invariant
 used for deduplication.  :func:`find_gammas` reads the symmetries off
-the same canonical search, run on the graph and on its color-swapped
-copy, and ``_gamma_classes`` keys them from the graph's own search.
+the same canonical search, run on the graph and then on its
+color-swapped copy against the graph's header and rows, and
+``_gamma_classes`` keys them from the graph's own search.
 
 The last section is the contract both censuses work under, the fast
 one of :mod:`rmfchi.enumerator` and the oracle of :mod:`rmfchi.oracle`:
@@ -301,16 +302,18 @@ def gamma_violations(g: DecoratedGraph, gamma: tuple[int, ...],
 
 def _matches(g: DecoratedGraph, searched):
     """Every isomorphism from g onto its color-swapped copy, given the
-    result of ``_search(g)``; none when the copy is not isomorphic."""
+    result of ``_search(g)``; none when the copy is not isomorphic.
+
+    The copy is searched against g's header and rows, so a branch of
+    its search ends at the first row that differs from g's, and the
+    orders it returns are those that reach g's rows.
+    """
     other = {Color.WHITE: Color.BLACK, Color.BLACK: Color.WHITE}
     swapped = DecoratedGraph(
         tuple(Vertex(other[v.color], v.weight, v.root) for v in g.vertices),
         g.edges)
     header, rows, orders = searched
-    swapped_header, swapped_rows, matches = _search(swapped)
-    if (header, rows) != (swapped_header, swapped_rows):
-        return
-    for match in matches:
+    for match in _search(swapped, (header, rows))[2]:
         perm = [0] * len(g.vertices)
         for v, image in zip(orders[0], match):
             perm[v] = image
@@ -345,9 +348,11 @@ def find_gammas(g: DecoratedGraph,
     """All admissible color-swapping symmetries, sorted.
 
     A gamma is an isomorphism from the graph onto its color-swapped
-    copy, so two canonical searches read them off.  The copy is
-    isomorphic to the graph exactly when both searches reach the same
-    header and rows.  Then every minimal order of the copy, matched
+    copy, so two searches read them off: the graph's canonical search,
+    and a search of the copy against the graph's header and rows, which
+    prunes every branch at its first row that differs from them.  The
+    copy is isomorphic to the graph exactly when some of its orders
+    reach the graph's header and rows.  Then every such order, matched
     position by position with the graph's first minimal order, is one
     isomorphism, and each isomorphism arises once: two minimal orders
     of one graph differ by an automorphism.  The permutations are kept
@@ -595,49 +600,74 @@ def _refined_classes(g: DecoratedGraph):
     return ordered, keys
 
 
-def _row(cells, v: int, earlier) -> tuple[tuple[int, ...], ...]:
-    """The edge weights from v to each vertex of ``earlier``, in turn."""
-    return tuple(cells.get((v, u) if v < u else (u, v), ()) for u in earlier)
-
-
-def _search(g: DecoratedGraph):
+def _search(g: DecoratedGraph, target=None):
     """The backtracking search over the vertex orders the refinement admits.
 
     An order lists the refined classes one after another.  Its rows are,
     per position, the edge weights to every earlier position.  Returns
     (header, rows, orders): the class header, the minimal rows and every
-    order that achieves them.
+    order that achieves them, in the order the search reaches them.
+
+    Each node compares one row.  While its prefix equals the best rows
+    found so far, the new row is compared with the best's row at that
+    depth, and a larger one is pruned; below a smaller prefix nothing is
+    compared, since the first leaf there is a new best.  A leaf that
+    replaces the best makes every open ancestor's prefix equal to the
+    new best's, so each of them is marked equal again.
+
+    With ``target``, the (header, rows) of another graph's search, the
+    search tests for an isomorphism onto that graph.  On a different
+    header it returns no orders.  Otherwise it prunes at the first row
+    that differs from the target's and returns every order that reaches
+    the target rows.  Header and rows fix a graph on its positions, so
+    there are such orders exactly when the two graphs are isomorphic,
+    and then they are the orders that achieve the minimal rows.
     """
     classes, class_keys = _refined_classes(g)
     header = tuple((key, len(cls)) for key, cls in zip(class_keys, classes))
-    cells = g.cells()
+    best: list[tuple] | None = None
+    if target is not None:
+        if header != target[0]:
+            return header, None, []
+        best = list(target[1])
+    near: list[dict[int, tuple[int, ...]]] = [{} for _ in g.vertices]
+    for (u, v), weights in g.cells().items():
+        near[u][v] = near[v][u] = weights
     slots = [list(cls) for cls in classes]
     order: list[int] = []
     rows: list[tuple] = []
-    best: list[tuple] | None = None
     orders: list[tuple[int, ...]] = []
 
-    def rec(ci: int):
+    def rec(ci: int, equal: bool):
+        # ``equal``: the prefix ``rows`` equals best's; else it is smaller.
         nonlocal best, orders
         if ci == len(slots):
-            if best is None or rows < best:
+            if not equal:
                 best, orders = list(rows), []
             orders.append(tuple(order))
             return
+        depth = len(rows)
         for v in list(slots[ci]):
-            row = _row(cells, v, order)
-            if best is not None and rows + [row] > best[: len(rows) + 1]:
-                continue
+            at = near[v]
+            row = tuple([at.get(u, ()) for u in order])
+            child_equal = equal
+            if equal and row != best[depth]:
+                if target is not None or row > best[depth]:
+                    continue
+                child_equal = False
             slots[ci].remove(v)
             order.append(v)
             rows.append(row)
-            rec(ci if slots[ci] else ci + 1)
+            reached = best
+            rec(ci if slots[ci] else ci + 1, child_equal)
+            if best is not reached:
+                equal = True
             rows.pop()
             order.pop()
             slots[ci].append(v)
             slots[ci].sort()
 
-    rec(0)
+    rec(0, best is not None)
     return header, best, orders
 
 

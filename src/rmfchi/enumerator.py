@@ -268,6 +268,12 @@ def _shapes(n_w: int, n_b: int, total: int, bounds: EnumerationBounds,
     nothing in that prefix cuts itself and every row below it off from
     the rows above; it is skipped.  A shape whose later rows each meet
     the columns used above them, with no column left unused, is connected.
+    A connected multigraph's parallel-edge excess, the sum of m - 1 over
+    its nonzero cells, is at most its cycle rank
+    ``total - (n_w + n_b) + 1``: its simple graph is connected, so it
+    has at least n_w + n_b - 1 cells.  A row's cells are final, so a
+    row that takes the excess of the placed rows past the cycle rank
+    leaves a matrix that can never be connected, and it is skipped.
 
     With balanced bounds, only shapes whose row sums and column sums,
     the degrees of the two colors, agree as multisets: the shapes that
@@ -278,9 +284,10 @@ def _shapes(n_w: int, n_b: int, total: int, bounds: EnumerationBounds,
     """
     white_roots = len(bounds.white_root_weights)
     black_roots = len(bounds.black_root_weights)
+    cycle_rank = total - (n_w + n_b) + 1
 
     def rows_from(i: int, remaining: int, prev, ties, colsums, row_sums,
-                  acc):
+                  excess, acc):
         if i == n_w:
             mat = tuple(acc)
             meter.tick()
@@ -296,7 +303,9 @@ def _shapes(n_w: int, n_b: int, total: int, bounds: EnumerationBounds,
             if row_sums.count(1) + (s == 1) + left_after < white_roots:
                 continue
             for row in _compositions_upto(s, prev, ties):
-                if i and not any(row[:used]):
+                # s - (n_b - zeros) is the row's own excess
+                with_row = excess + s - n_b + row.count(0)
+                if with_row > cycle_rank or i and not any(row[:used]):
                     continue
                 sums = tuple(map(add, colsums, row))
                 if sum(c <= 1 for c in sums) < black_roots:
@@ -307,12 +316,13 @@ def _shapes(n_w: int, n_b: int, total: int, bounds: EnumerationBounds,
                 still_tied = tuple(t and a == b
                                    for t, a, b in zip(ties, row, row[1:]))
                 yield from rows_from(i + 1, remaining - s, row, still_tied,
-                                     sums, row_sums + (s,), acc + [row])
+                                     sums, row_sums + (s,), with_row,
+                                     acc + [row])
 
     # The first row has no row above it: a cap of ``total`` in every
     # column admits any row, and every column pair starts tied.
     yield from rows_from(0, total, (total,) * n_b, (True,) * (n_b - 1),
-                         (0,) * n_b, (), [])
+                         (0,) * n_b, (), 0, [])
 
 
 def _cells_of(mat):

@@ -8,6 +8,7 @@ from dataclasses import replace
 from itertools import permutations
 
 import pytest
+from test_acceptance import _graph_model_types
 
 from rmfchi import decograph
 from rmfchi.decograph import (
@@ -205,6 +206,80 @@ def test_match_test_agrees_with_the_full_checker(swap_cuts_off):
     # matches that pass, and matches that fail each of the two clauses
     assert () in verdicts
     assert set().union(*verdicts) == {"gamma-involution", "gamma-parity"}
+
+
+def _whole_prefix_search(g):
+    # _search as it was before each node compared one row: every node
+    # compares its whole prefix with the best rows', reading each row
+    # from the pair-keyed cells.  Also returns whether a later leaf
+    # replaced the first leaf's rows.
+    classes, class_keys = decograph._refined_classes(g)
+    header = tuple((key, len(cls)) for key, cls in zip(class_keys, classes))
+    cells = g.cells()
+    slots = [list(cls) for cls in classes]
+    order, rows, orders = [], [], []
+    best = None
+    replaced = -1
+
+    def rec(ci):
+        nonlocal best, orders, replaced
+        if ci == len(slots):
+            if best is None or rows < best:
+                best, orders = list(rows), []
+                replaced += 1
+            orders.append(tuple(order))
+            return
+        for v in list(slots[ci]):
+            row = tuple(cells.get((v, u) if v < u else (u, v), ())
+                        for u in order)
+            if best is not None and rows + [row] > best[: len(rows) + 1]:
+                continue
+            slots[ci].remove(v)
+            order.append(v)
+            rows.append(row)
+            rec(ci if slots[ci] else ci + 1)
+            rows.pop()
+            order.pop()
+            slots[ci].append(v)
+            slots[ci].sort()
+
+    rec(0)
+    return (header, best, orders), replaced > 0
+
+
+def test_search_equals_the_whole_prefix_search():
+    # Comparing one row per node, and none below a smaller prefix, must
+    # give the same header, rows and orders, in order, as comparing whole
+    # prefixes, on every plain class of a small box and on its
+    # color-swapped copy.  Searched against the class's own header and
+    # rows, the copy must return the orders of its whole-prefix search
+    # when that search reaches them, and none otherwise.  The searches
+    # whose first leaf is not minimal are the ones that test that every
+    # open node compares again after a new best.
+    late = 0
+    targets = Counter()
+    for t in _graph_model_types(3, 7, 3):
+        for _, searched, g in _plain_classes(bounds_for(t), WorkMeter()):
+            copy = _color_swapped(g)
+            for h in (g, copy):
+                want, replaced = _whole_prefix_search(h)
+                assert decograph._search(h) == want
+                late += replaced
+            header, rows, orders = want  # the copy's
+            got = decograph._search(copy, searched[:2])[2]
+            if header != searched[0]:
+                targets["header"] += 1
+                assert got == []
+            elif rows != searched[1]:
+                targets["rows"] += 1
+                assert got == []
+            else:
+                targets["match"] += 1
+                assert got == orders
+    # 658 plain classes: 16 searches replace their first leaf's rows, and
+    # the copies end on each of the three outcomes
+    assert late == 16
+    assert targets == {"header": 231, "rows": 178, "match": 249}
 
 
 def test_gamma_classes_key_each_class_by_its_smallest_gamma():

@@ -382,6 +382,31 @@ def test_shape_search_stays_pruned(monkeypatch):
     assert meter.used == 248
 
 
+def test_shapes_stay_within_the_cycle_rank(monkeypatch):
+    # A row that takes the parallel-edge excess of the placed rows past
+    # the cycle rank leaves a matrix that can never be connected, so it
+    # is skipped.  That took the separating 4,9,1|1,1,3 from 47 ticks to
+    # 27 and 4,9,1|-1,2,2 from 36 to 22, and 2,8,0|1,1 from 1,461 degree
+    # pairing tests to 581.  The counts are work, not time, so a cut that
+    # stops biting fails on any machine.
+    for text, count, ticks in (("4,9,1|1,1,3", 14, 27),
+                               ("4,9,1|-1,2,2", 11, 22)):
+        meter = WorkMeter()
+        graphs = enum_sep(parse_type(text), allow_full_degree=True,
+                          meter=meter)
+        assert (len(graphs), meter.used) == (count, ticks), text
+    calls = []
+    can_pair = enumerator._degrees_can_pair
+
+    def counted(*args):
+        calls.append(args)
+        return can_pair(*args)
+
+    monkeypatch.setattr(enumerator, "_degrees_can_pair", counted)
+    assert len(enum_nonsep(nonsep(2, 8, (1, 1)))) == 17
+    assert len(calls) == 581
+
+
 def test_odd_spare_genus_builds_no_shape(monkeypatch):
     # 3,7,0|1 has a genus budget of 2, so cycle rank 1 leaves its
     # non-root vertexes an odd genus, which no color-swapping gamma can
@@ -613,9 +638,9 @@ def test_nonsep_keys_only_swappable_decorations(monkeypatch):
     calls = []
     search = decograph._search
 
-    def counted(g):
+    def counted(g, *target):
         calls.append(g)
-        return search(g)
+        return search(g, *target)
 
     monkeypatch.setattr(enumerator, "_search", counted)
     assert len(enum_nonsep(nonsep(3, 7, (1,)))) == 31
@@ -634,9 +659,9 @@ def test_nonsep_searches_each_class_a_fixed_number_of_times(monkeypatch):
     calls = []
     search = decograph._search
 
-    def counted(g):
+    def counted(g, *target):
         calls.append(g)
-        return search(g)
+        return search(g, *target)
 
     monkeypatch.setattr(decograph, "_search", counted)
     monkeypatch.setattr(enumerator, "_search", counted)
@@ -660,9 +685,9 @@ def test_twin_order_keys_one_decoration_per_class(monkeypatch):
     search = decograph._search
 
     def counted(calls):
-        def run(g):
+        def run(g, *target):
             calls.append(g)
-            return search(g)
+            return search(g, *target)
         return run
 
     monkeypatch.setattr(enumerator, "_search", counted(decorations))
@@ -679,9 +704,9 @@ def test_graphs_command_adds_no_searches(monkeypatch, capsys):
     calls = []
     search = decograph._search
 
-    def counted(g):
+    def counted(g, *target):
         calls.append(g)
-        return search(g)
+        return search(g, *target)
 
     monkeypatch.setattr(decograph, "_search", counted)
     monkeypatch.setattr(enumerator, "_search", counted)
