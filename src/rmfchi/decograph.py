@@ -12,9 +12,12 @@ color-swapping symmetry gamma, recorded as a vertex permutation.
 The checkers validate a graph against a topological type clause by
 clause, and :func:`canonical_key` gives a complete isomorphism invariant
 used for deduplication.  :func:`find_gammas` reads the symmetries off
-the same canonical search, run on the graph and then on its
-color-swapped copy against the graph's header and rows, and
-``_gamma_classes`` keys them from the graph's own search.
+the same canonical search, run on the graph and then on the graph
+again with its two colors exchanged, against its own header and rows;
+no color-swapped copy is built.  ``_gamma_classes`` keys them from the
+graph's own search.  The search reads one per-vertex view, a
+``{neighbor: weights}`` map, for both its refinement and its rows; the
+checkers read :func:`_incidence`.
 
 The last section is the contract both censuses work under, the fast
 one of :mod:`rmfchi.enumerator` and the oracle of :mod:`rmfchi.oracle`:
@@ -187,7 +190,8 @@ class DecoratedGraph:
 
 
 def _incidence(g: DecoratedGraph) -> list[list[tuple[int, int]]]:
-    """The one per-vertex view: (neighbor, edge weight) per incident edge."""
+    """(neighbor, edge weight) per incident edge: the per-vertex view
+    that the checkers, ``degrees`` and ``is_connected`` read."""
     incident: list[list[tuple[int, int]]] = [[] for _ in g.vertices]
     for e in g.edges:
         incident[e.u].append((e.v, e.weight))
@@ -304,16 +308,13 @@ def _matches(g: DecoratedGraph, searched):
     """Every isomorphism from g onto its color-swapped copy, given the
     result of ``_search(g)``; none when the copy is not isomorphic.
 
-    The copy is searched against g's header and rows, so a branch of
-    its search ends at the first row that differs from g's, and the
-    orders it returns are those that reach g's rows.
+    No copy is built: g is searched with its colors exchanged against
+    its own header and rows, so a branch of the search ends at the
+    first row that differs from g's, and the orders it returns are
+    those that reach g's rows.
     """
-    other = {Color.WHITE: Color.BLACK, Color.BLACK: Color.WHITE}
-    swapped = DecoratedGraph(
-        tuple(Vertex(other[v.color], v.weight, v.root) for v in g.vertices),
-        g.edges)
     header, rows, orders = searched
-    for match in _search(swapped, (header, rows))[2]:
+    for match in _search(g, (header, rows))[2]:
         perm = [0] * len(g.vertices)
         for v, image in zip(orders[0], match):
             perm[v] = image
@@ -348,12 +349,13 @@ def find_gammas(g: DecoratedGraph,
     """All admissible color-swapping symmetries, sorted.
 
     A gamma is an isomorphism from the graph onto its color-swapped
-    copy, so two searches read them off: the graph's canonical search,
-    and a search of the copy against the graph's header and rows, which
-    prunes every branch at its first row that differs from them.  The
-    copy is isomorphic to the graph exactly when some of its orders
-    reach the graph's header and rows.  Then every such order, matched
-    position by position with the graph's first minimal order, is one
+    copy, so two searches of the graph read them off: its canonical
+    search, and a search with its colors exchanged against its own
+    header and rows, which prunes every branch at its first row that
+    differs from them.  No copy is built.  The copy is isomorphic to the
+    graph exactly when some orders of that second search reach the
+    graph's header and rows.  Then every such order, matched position
+    by position with the graph's first minimal order, is one
     isomorphism, and each isomorphism arises once: two minimal orders
     of one graph differ by an automorphism.  The permutations are kept
     when :func:`gamma_violations` would find nothing, so with
@@ -364,9 +366,9 @@ def find_gammas(g: DecoratedGraph,
     every pair's edge weights onto its image's, so ``gamma-involution``
     and ``gamma-parity`` are the only clauses it can fail.
 
-    No separate color-swap test is needed: equal headers mean equal
-    multisets of (color, vertex invariant), so the white and black
-    invariants of the graph agree.
+    No separate color-swap test is needed: equal headers mean that the
+    white and the black vertexes of the graph have equal multisets of
+    (root flag, genus, degree, sorted edge weights).
     """
     return _matched_gammas(g, _search(g), involution)
 
@@ -559,34 +561,33 @@ def _sep_violations(g: DecoratedGraph, t: TopType) -> ViolationList:
 # canonical form
 
 
-def _vertex_invariant(root: bool, genus: int, weights) -> tuple:
-    """Root flag, genus, degree and sorted incident edge weights.
-
-    This is the refinement's initial key without the color, so vertexes
-    of the two colors can be compared.  A color-swapping symmetry maps
-    each vertex to one with the same invariant, so a graph whose white
-    and black invariants differ as multisets has none.
-    """
-    return (int(root), genus, len(weights), tuple(sorted(weights)))
-
-
-def _refined_classes(g: DecoratedGraph):
+def _refined_classes(g: DecoratedGraph, near, swapped: bool):
     """Partition vertexes into ordered classes by iterated refinement.
+
+    ``near`` is the search's per-vertex ``{neighbor: weights}`` map of g.
+    A vertex's initial key is its color, root flag, genus, degree and
+    sorted incident edge weights; the refinement then adds the sorted
+    (edge weight, neighbor rank) pairs.  With ``swapped`` each vertex is
+    read in the other color, which refines g's color-swapped copy.
 
     The class order is derived from structural keys only, so it is
     identical for isomorphic graphs.  Returns (classes, class_keys)
     where class_keys[i] is the shared attribute key of classes[i].
     """
     n = len(g.vertices)
-    incident = _incidence(g)
-    init = [(vert.color.value,)
-            + _vertex_invariant(vert.root, vert.weight, [w for _, w in at])
-            for vert, at in zip(g.vertices, incident)]
+    white = Color.BLACK if swapped else Color.WHITE
+    init = []
+    for vert, at in zip(g.vertices, near):
+        weights = sorted(w for ws in at.values() for w in ws)
+        color = Color.WHITE if vert.color is white else Color.BLACK
+        init.append((color.value, int(vert.root), vert.weight, len(weights),
+                     tuple(weights)))
     order = sorted(set(init))
     rank = [order.index(key) for key in init]
     while True:
         keys = [(rank[v], tuple(sorted((w, rank[u])
-                                       for u, w in incident[v])))
+                                       for u, ws in near[v].items()
+                                       for w in ws)))
                 for v in range(n)]
         distinct = sorted(set(keys))
         if len(distinct) == len(set(rank)):
@@ -615,24 +616,27 @@ def _search(g: DecoratedGraph, target=None):
     replaces the best makes every open ancestor's prefix equal to the
     new best's, so each of them is marked equal again.
 
-    With ``target``, the (header, rows) of another graph's search, the
-    search tests for an isomorphism onto that graph.  On a different
-    header it returns no orders.  Otherwise it prunes at the first row
-    that differs from the target's and returns every order that reaches
-    the target rows.  Header and rows fix a graph on its positions, so
-    there are such orders exactly when the two graphs are isomorphic,
-    and then they are the orders that achieve the minimal rows.
+    With ``target``, the (header, rows) of g's own search, the search
+    tests for an isomorphism from g onto its color-swapped copy: it
+    refines g with the two colors exchanged, which is the copy's
+    refinement, since the copy has g's vertexes and edges and only the
+    initial keys read a color, and then searches g itself.  On a header
+    other than the target's it returns no orders.  Otherwise it prunes
+    at the first row that differs from the target's and returns every
+    order that reaches the target rows.  Header and rows fix a graph on
+    its positions, so there are such orders exactly when the copy is
+    isomorphic to g, and then they are the copy's minimal orders.
     """
-    classes, class_keys = _refined_classes(g)
+    near: list[dict[int, tuple[int, ...]]] = [{} for _ in g.vertices]
+    for (u, v), weights in g.cells().items():
+        near[u][v] = near[v][u] = weights
+    classes, class_keys = _refined_classes(g, near, target is not None)
     header = tuple((key, len(cls)) for key, cls in zip(class_keys, classes))
     best: list[tuple] | None = None
     if target is not None:
         if header != target[0]:
             return header, None, []
         best = list(target[1])
-    near: list[dict[int, tuple[int, ...]]] = [{} for _ in g.vertices]
-    for (u, v), weights in g.cells().items():
-        near[u][v] = near[v][u] = weights
     slots = [list(cls) for cls in classes]
     order: list[int] = []
     rows: list[tuple] = []

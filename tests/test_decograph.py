@@ -28,7 +28,8 @@ from rmfchi.decograph import (
     strip_gamma,
 )
 from rmfchi.enumerator import _plain_classes, bounds_for
-from rmfchi.topotype import NonExistentTypeError, nonsep, parse_type, sep
+from rmfchi.topotype import (NonExistentTypeError, Variant, nonsep,
+                             parse_type, sep)
 
 W, B = Color.WHITE, Color.BLACK
 
@@ -66,6 +67,9 @@ def _four_cycle():
 
 
 def test_fixtures_pass_their_checkers():
+    # a report is true when it is ok, unlike gamma_violations' list
+    assert check_nonsep(_nonsep_path(), nonsep(1, 3, (1,)))
+    assert check_sep(_sep_path(), sep(1, 3, (1, 2)))
     assert check_nonsep(_nonsep_path(), nonsep(1, 3, (1,))).clauses == ()
     assert check_sep(_sep_path(), sep(1, 3, (1, 2))).clauses == ()
     assert check_nonsep(_heavy_edge(), nonsep(0, 4, ())).clauses == ()
@@ -87,9 +91,11 @@ def test_constructor_validation():
 
 def test_gamma_missing_and_forbidden():
     bad = strip_gamma(_nonsep_path())
+    assert not check_nonsep(bad, nonsep(1, 3, (1,)))
     assert check_nonsep(bad, nonsep(1, 3, (1,))).clauses == ("gamma-missing",)
     g = _sep_path()
     bad = DecoratedGraph(g.vertices, g.edges, (0, 1, 2))
+    assert not check_sep(bad, sep(1, 3, (1, 2)))
     assert "gamma-forbidden" in check_sep(bad, sep(1, 3, (1, 2))).clauses
 
 
@@ -213,9 +219,12 @@ def _whole_prefix_search(g):
     # compares its whole prefix with the best rows', reading each row
     # from the pair-keyed cells.  Also returns whether a later leaf
     # replaced the first leaf's rows.
-    classes, class_keys = decograph._refined_classes(g)
-    header = tuple((key, len(cls)) for key, cls in zip(class_keys, classes))
     cells = g.cells()
+    near = [{} for _ in g.vertices]
+    for (u, v), weights in cells.items():
+        near[u][v] = near[v][u] = weights
+    classes, class_keys = decograph._refined_classes(g, near, False)
+    header = tuple((key, len(cls)) for key, cls in zip(class_keys, classes))
     slots = [list(cls) for cls in classes]
     order, rows, orders = [], [], []
     best = None
@@ -247,26 +256,39 @@ def _whole_prefix_search(g):
     return (header, best, orders), replaced > 0
 
 
-def test_search_equals_the_whole_prefix_search():
+def test_search_equals_the_whole_prefix_search(monkeypatch):
     # Comparing one row per node, and none below a smaller prefix, must
     # give the same header, rows and orders, in order, as comparing whole
     # prefixes, on every plain class of a small box and on its
-    # color-swapped copy.  Searched against the class's own header and
-    # rows, the copy must return the orders of its whole-prefix search
+    # color-swapped copy.  Searched against its own header and rows, a
+    # class must return the orders of its copy's whole-prefix search
     # when that search reaches them, and none otherwise.  The searches
     # whose first leaf is not minimal are the ones that test that every
-    # open node compares again after a new best.
-    late = 0
+    # open node compares again after a new best.  The search reads its
+    # own neighbor map, never the checkers' incidence, and find_gammas
+    # builds no graph: there is no color-swapped copy in the library.
+    def unread(g):
+        raise AssertionError("_incidence was read")
+
+    built = []
+    validate = DecoratedGraph.__post_init__
+
+    def counted(self):
+        built.append(self)
+        validate(self)
+
+    monkeypatch.setattr(decograph, "_incidence", unread)
+    monkeypatch.setattr(DecoratedGraph, "__post_init__", counted)
+    late = gammas = 0
     targets = Counter()
     for t in _graph_model_types(3, 7, 3):
         for _, searched, g in _plain_classes(bounds_for(t), WorkMeter()):
-            copy = _color_swapped(g)
-            for h in (g, copy):
+            for h in (g, _color_swapped(g)):
                 want, replaced = _whole_prefix_search(h)
                 assert decograph._search(h) == want
                 late += replaced
             header, rows, orders = want  # the copy's
-            got = decograph._search(copy, searched[:2])[2]
+            got = decograph._search(g, searched[:2])[2]
             if header != searched[0]:
                 targets["header"] += 1
                 assert got == []
@@ -276,10 +298,16 @@ def test_search_equals_the_whole_prefix_search():
             else:
                 targets["match"] += 1
                 assert got == orders
+            if t.variant is Variant.NONSEP:
+                built.clear()
+                gammas += len(find_gammas(g)) + len(find_gammas(g, False))
+                assert built == []
     # 658 plain classes: 16 searches replace their first leaf's rows, and
-    # the copies end on each of the three outcomes
+    # the swapped searches end on each of the three outcomes; the 440
+    # non-separating classes carry 648 gammas in the two conventions
     assert late == 16
     assert targets == {"header": 231, "rows": 178, "match": 249}
+    assert gammas == 648
 
 
 def test_gamma_classes_key_each_class_by_its_smallest_gamma():
