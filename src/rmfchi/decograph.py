@@ -13,11 +13,15 @@ The checkers validate a graph against a topological type clause by
 clause, and :func:`canonical_key` gives a complete isomorphism invariant
 used for deduplication.  :func:`find_gammas` reads the symmetries off
 the same canonical search, run on the graph and then on the graph
-again with its two colors exchanged, against its own header and rows;
-no color-swapped copy is built.  ``_gamma_classes`` keys them from the
-graph's own search.  The search reads one per-vertex view, a
-``{neighbor: weights}`` map, for both its refinement and its rows; the
-checkers read :func:`_incidence`.
+again against its own header and rows, in its own refinement read with
+the two colors exchanged: no color-swapped copy is built, and the
+second search does not refine.  ``_gamma_classes`` keys them from the
+graph's own search.  The search reads a view, the vertexes and a
+per-vertex ``{neighbor: weights}`` map, for both its refinement and its
+rows: :func:`_view` reads it off a graph's cells, and the fast census
+hands over each decoration's map, so that it builds a graph
+(:func:`_graph`) only for a class it returns.  The checkers read
+:func:`_incidence`.
 
 The last section is the contract both censuses work under, the fast
 one of :mod:`rmfchi.enumerator` and the oracle of :mod:`rmfchi.oracle`:
@@ -304,44 +308,70 @@ def gamma_violations(g: DecoratedGraph, gamma: tuple[int, ...],
     return out
 
 
-def _matches(g: DecoratedGraph, searched):
-    """Every isomorphism from g onto its color-swapped copy, given the
-    result of ``_search(g)``; none when the copy is not isomorphic.
+def _view(g: DecoratedGraph):
+    """The search's view of g: its vertexes and a per-vertex
+    ``{neighbor: weights}`` map, read from ``g.cells()``."""
+    near: list[dict[int, tuple[int, ...]]] = [{} for _ in g.vertices]
+    for (u, v), weights in g.cells().items():
+        near[u][v] = near[v][u] = weights
+    return g.vertices, near
 
-    No copy is built: g is searched with its colors exchanged against
-    its own header and rows, so a branch of the search ends at the
-    first row that differs from g's, and the orders it returns are
-    those that reach g's rows.
+
+def _graph(view) -> DecoratedGraph:
+    """The gamma-less graph of a view: the white vertexes by id, each
+    with its neighbors in the map's order and their weights.
+
+    The census's map lists a white's neighbors in cell order, so these
+    are the edges of the shape's cells in cell order, weight by weight.
     """
-    header, rows, orders = searched
-    for match in _search(g, (header, rows))[2]:
-        perm = [0] * len(g.vertices)
+    vertices, near = view
+    return DecoratedGraph(vertices, tuple(
+        Edge(u, v, w) for u, vert in enumerate(vertices)
+        if vert.color is Color.WHITE
+        for v, weights in near[u].items() for w in weights))
+
+
+def _matches(view, searched):
+    """Every isomorphism from a graph onto its color-swapped copy, given
+    its view and the result of ``_search(view)``; none when the copy is
+    not isomorphic.
+
+    No copy is built: the graph is searched against its own header and
+    rows, in the classes of its own refinement read with the two colors
+    exchanged, so a branch of the search ends at the first row that
+    differs from the graph's, and the orders it returns are those that
+    reach the graph's rows.
+    """
+    orders = searched[2]
+    for match in _search(view, searched)[2]:
+        perm = [0] * len(orders[0])
         for v, image in zip(orders[0], match):
             perm[v] = image
         yield perm
 
 
-def _match_admissible(cells, gamma, involution: bool) -> bool:
+def _match_admissible(near, gamma, involution: bool) -> bool:
     """``gamma-involution`` and ``gamma-parity`` of
     :func:`gamma_violations`, for one of :func:`_matches` of the graph
-    whose ``cells()`` are given: the only clauses such a map can fail.
+    whose ``{neighbor: weights}`` map is given: the only clauses such a
+    map can fail.
 
     A pair's parity is tested when gamma swaps its two ends, which is
     when it maps the pair onto itself, since it fixes no vertex.
     """
     if involution and any(gamma[gamma[v]] != v for v in range(len(gamma))):
         return False
-    return all(_parity_ok(weights, involution)
-               for (u, v), weights in cells.items()
-               if gamma[u] == v and gamma[v] == u)
+    return all(_parity_ok(near[u][v], involution)
+               for u, v in enumerate(gamma)
+               if u < v and gamma[v] == u and v in near[u])
 
 
-def _matched_gammas(g: DecoratedGraph, searched,
+def _matched_gammas(view, searched,
                     involution: bool) -> list[tuple[int, ...]]:
-    """:func:`find_gammas`, given the result of ``_search(g)``."""
-    cells = g.cells()
-    return sorted(tuple(perm) for perm in _matches(g, searched)
-                  if _match_admissible(cells, perm, involution))
+    """:func:`find_gammas`, given the view and its ``_search``."""
+    near = view[1]
+    return sorted(tuple(perm) for perm in _matches(view, searched)
+                  if _match_admissible(near, perm, involution))
 
 
 def find_gammas(g: DecoratedGraph,
@@ -350,10 +380,12 @@ def find_gammas(g: DecoratedGraph,
 
     A gamma is an isomorphism from the graph onto its color-swapped
     copy, so two searches of the graph read them off: its canonical
-    search, and a search with its colors exchanged against its own
-    header and rows, which prunes every branch at its first row that
-    differs from them.  No copy is built.  The copy is isomorphic to the
-    graph exactly when some orders of that second search reach the
+    search, and a search against its own header and rows in the
+    copy's refinement, which prunes every branch at its first row that
+    differs from them.  No copy is built, and the second search does
+    not refine: the copy's refinement is the graph's own with the two
+    colors exchanged (see :func:`_search`).  The copy is isomorphic to
+    the graph exactly when some orders of that second search reach the
     graph's header and rows.  Then every such order, matched position
     by position with the graph's first minimal order, is one
     isomorphism, and each isomorphism arises once: two minimal orders
@@ -370,28 +402,33 @@ def find_gammas(g: DecoratedGraph,
     white and the black vertexes of the graph have equal multisets of
     (root flag, genus, degree, sorted edge weights).
     """
-    return _matched_gammas(g, _search(g), involution)
+    view = _view(g)
+    return _matched_gammas(view, _search(view), involution)
 
 
-def _gamma_classes(g: DecoratedGraph, searched,
+def _gamma_classes(view, searched,
                    involution: bool) -> dict[bytes, DecoratedGraph]:
     """The admissible gammas of a gamma-less graph, up to conjugacy.
 
-    Maps each class's canonical key to g carrying its smallest gamma.
-    ``searched``, the ``_search(g)`` that keyed g, finds the gammas and
-    keys them, one per class: the :func:`_readings` of a keyed gamma
-    are its conjugates read in the first order, and the smallest keys
-    it, so a later gamma whose first reading is among them is skipped.
+    Maps each class's canonical key to the graph of ``view`` carrying
+    its smallest gamma; that plain graph is built once, and only when a
+    gamma is found.  ``searched``, the ``_search(view)`` that keyed the
+    graph, finds the gammas and keys them, one per class: the
+    :func:`_readings` of a keyed gamma are its conjugates read in the
+    first order, and the smallest keys it, so a later gamma whose first
+    reading is among them is skipped.
     """
     orders = searched[2]
     seen: set[tuple[int, ...]] = set()
     classes: dict[bytes, DecoratedGraph] = {}
-    for gamma in _matched_gammas(g, searched, involution):
+    plain = None
+    for gamma in _matched_gammas(view, searched, involution):
         if next(_readings(orders, gamma)) not in seen:
             readings = set(_readings(orders, gamma))
             seen |= readings
+            plain = plain or _graph(view)
             classes.setdefault(_encode(searched, min(readings)),
-                               replace(g, gamma=gamma))
+                               replace(plain, gamma=gamma))
     return classes
 
 
@@ -561,53 +598,83 @@ def _sep_violations(g: DecoratedGraph, t: TopType) -> ViolationList:
 # canonical form
 
 
-def _refined_classes(g: DecoratedGraph, near, swapped: bool):
+def _refined_classes(vertices, near):
     """Partition vertexes into ordered classes by iterated refinement.
 
-    ``near`` is the search's per-vertex ``{neighbor: weights}`` map of g.
-    A vertex's initial key is its color, root flag, genus, degree and
+    ``near`` is the search's per-vertex ``{neighbor: weights}`` map.  A
+    vertex's initial key is its color, root flag, genus, degree and
     sorted incident edge weights; the refinement then adds the sorted
-    (edge weight, neighbor rank) pairs.  With ``swapped`` each vertex is
-    read in the other color, which refines g's color-swapped copy.
+    (edge weight, neighbor rank) pairs, to the vertexes of classes with
+    more than one member: a lone vertex's key is its rank, which no
+    other key shares, so every rank comes out the same.  It stops when
+    a round splits no class, or when every class is a single vertex.
 
     The class order is derived from structural keys only, so it is
     identical for isomorphic graphs.  Returns (classes, class_keys)
     where class_keys[i] is the shared attribute key of classes[i].
     """
-    n = len(g.vertices)
-    white = Color.BLACK if swapped else Color.WHITE
     init = []
-    for vert, at in zip(g.vertices, near):
-        weights = sorted(w for ws in at.values() for w in ws)
-        color = Color.WHITE if vert.color is white else Color.BLACK
-        init.append((color.value, int(vert.root), vert.weight, len(weights),
-                     tuple(weights)))
-    order = sorted(set(init))
-    rank = [order.index(key) for key in init]
-    while True:
-        keys = [(rank[v], tuple(sorted((w, rank[u])
-                                       for u, ws in near[v].items()
-                                       for w in ws)))
-                for v in range(n)]
-        distinct = sorted(set(keys))
-        if len(distinct) == len(set(rank)):
+    for vert, at in zip(vertices, near):
+        weights = sorted([w for ws in at.values() for w in ws])
+        init.append((vert.color._value_, int(vert.root), vert.weight,
+                     len(weights), tuple(weights)))
+    index = {key: r for r, key in enumerate(sorted(set(init)))}
+    rank = [index[key] for key in init]
+    pairs = [[(w, u) for u, ws in at.items() for w in ws] for at in near]
+    while len(index) < len(rank):
+        size = [0] * len(index)
+        for r in rank:
+            size[r] += 1
+        keys = [(r, tuple(sorted([(w, rank[u]) for w, u in pairs[v]])))
+                if size[r] > 1 else (r,) for v, r in enumerate(rank)]
+        split = {key: r for r, key in enumerate(sorted(set(keys)))}
+        if len(split) == len(index):
             break
-        rank = [distinct.index(key) for key in keys]
+        index = split
+        rank = [index[key] for key in keys]
 
-    ordered: list[list[int]] = [[] for _ in set(rank)]
-    for v in range(n):  # the ranks are 0, 1, ... in class order
-        ordered[rank[v]].append(v)
-    keys = [init[cls[0]] for cls in ordered]
-    return ordered, keys
+    ordered: list[list[int]] = [[] for _ in index]
+    for v, r in enumerate(rank):  # the ranks are 0, 1, ... in class order
+        ordered[r].append(v)
+    return ordered, [init[cls[0]] for cls in ordered]
 
 
-def _search(g: DecoratedGraph, target=None):
+def _color_swapped_classes(searched):
+    """The header and refined classes of the color-swapped copy of the
+    graph whose ``_search`` is given, read off that search.
+
+    An order lists the refined classes one after another, so each class
+    is a run of the first minimal order.  A key begins with the color,
+    so the black classes (``"b" < "w"``) come before the white ones.
+    The copy's refinement is the graph's with the white block first and
+    the color of every key exchanged: a refinement key lists neighbors
+    of the other color only, whose ranks the exchange shifts by one
+    constant, which keeps the order of the sorted (weight, rank) lists;
+    and two classes never merge, since the old rank leads the key.  So
+    every round refines the copy as it refines the graph, and stops on
+    the same round.
+    """
+    header, _, orders = searched
+    classes, start = [], 0
+    for _, size in header:
+        classes.append(sorted(orders[0][start:start + size]))
+        start += size
+    k = sum(key[0] == "b" for key, _ in header)
+    other = {"b": "w", "w": "b"}
+    swapped = tuple(((other[key[0]],) + key[1:], size)
+                    for key, size in header[k:] + header[:k])
+    return swapped, classes[k:] + classes[:k]
+
+
+def _search(view, target=None):
     """The backtracking search over the vertex orders the refinement admits.
 
-    An order lists the refined classes one after another.  Its rows are,
-    per position, the edge weights to every earlier position.  Returns
-    (header, rows, orders): the class header, the minimal rows and every
-    order that achieves them, in the order the search reaches them.
+    ``view`` is (vertexes, ``{neighbor: weights}`` map per vertex), as
+    :func:`_view` or the census builds it.  An order lists the refined
+    classes one after another.  Its rows are, per position, the edge
+    weights to every earlier position.  Returns (header, rows, orders):
+    the class header, the minimal rows and every order that achieves
+    them, in the order the search reaches them.
 
     Each node compares one row.  While its prefix equals the best rows
     found so far, the new row is compared with the best's row at that
@@ -616,24 +683,27 @@ def _search(g: DecoratedGraph, target=None):
     replaces the best makes every open ancestor's prefix equal to the
     new best's, so each of them is marked equal again.
 
-    With ``target``, the (header, rows) of g's own search, the search
-    tests for an isomorphism from g onto its color-swapped copy: it
-    refines g with the two colors exchanged, which is the copy's
-    refinement, since the copy has g's vertexes and edges and only the
-    initial keys read a color, and then searches g itself.  On a header
-    other than the target's it returns no orders.  Otherwise it prunes
-    at the first row that differs from the target's and returns every
-    order that reaches the target rows.  Header and rows fix a graph on
-    its positions, so there are such orders exactly when the copy is
-    isomorphic to g, and then they are the copy's minimal orders.
+    With ``target``, the graph's own ``_search``, the search tests for
+    an isomorphism from the graph onto its color-swapped copy: it reads
+    the copy's refinement off the target, without refining
+    (:func:`_color_swapped_classes`), and then searches the graph
+    itself, since the copy has the graph's vertexes and edges and only
+    the initial keys read a color.  On a header other than the target's
+    it returns no orders; that is when the black and white blocks of
+    the target's header differ somewhere other than in the color.
+    Otherwise it prunes at the first row that differs from the
+    target's and returns every order that reaches the target rows.
+    Header and rows fix a graph on its positions, so there are such
+    orders exactly when the copy is isomorphic to the graph, and then
+    they are the copy's minimal orders.
     """
-    near: list[dict[int, tuple[int, ...]]] = [{} for _ in g.vertices]
-    for (u, v), weights in g.cells().items():
-        near[u][v] = near[v][u] = weights
-    classes, class_keys = _refined_classes(g, near, target is not None)
-    header = tuple((key, len(cls)) for key, cls in zip(class_keys, classes))
-    best: list[tuple] | None = None
-    if target is not None:
+    vertices, near = view
+    if target is None:
+        classes, class_keys = _refined_classes(vertices, near)
+        header = tuple(zip(class_keys, map(len, classes)))
+        best = None
+    else:
+        header, classes = _color_swapped_classes(target)
         if header != target[0]:
             return header, None, []
         best = list(target[1])
@@ -704,7 +774,7 @@ def canonical_key(g: DecoratedGraph) -> bytes:
     is the minimal serialized encoding over all admissible vertex
     orders, with gamma folded in as a tie-break after the adjacency.
     """
-    searched = _search(g)
+    searched = _search(_view(g))
     # the empty graph's gamma () encodes as None
     return _encode(searched, min(_readings(searched[2], g.gamma))
                    if g.gamma else None)

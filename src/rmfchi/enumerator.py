@@ -2,7 +2,10 @@
 
 The fast census builds bipartite multigraph shapes in a canonical form
 (maximal matrix under row and column permutations), decorates them, and
-deduplicates them by the canonical key of one search each.  Equal rows,
+deduplicates them by the canonical key of one search each.  A
+decoration reaches the search as its view, the vertexes and a
+``{neighbor: weights}`` map, and a graph is built only for a class the
+census returns.  Equal rows,
 and equal columns, of a shape are decorated in order: a decoration that
 swapping two of them maps to an earlier one is skipped, since it is
 never the first of its class (the proof is in :func:`_decorations`).
@@ -27,13 +30,13 @@ from operator import add
 from .decograph import (
     Color,
     DecoratedGraph,
-    Edge,
     GammaMode,
     Vertex,
     WorkMeter,
     _encode,
     _existence_projection,
     _gamma_classes,
+    _graph,
     _nonsep_violations,
     _require_gamma_mode,
     _require_graph_model,
@@ -451,15 +454,6 @@ def _root_choices(candidates, kinds, needed):
             if tuple(sorted(kinds[v][0] for v in combo)) == need]
 
 
-def _assemble(n_w, n_b, cells, weights, roots, genus) -> DecoratedGraph:
-    vertices = tuple(Vertex(Color.WHITE if v < n_w else Color.BLACK,
-                            genus.get(v, 0), v in roots)
-                     for v in range(n_w + n_b))
-    edges = tuple(Edge(i, n_w + j, w)
-                  for (i, j, _), ws in zip(cells, weights) for w in ws)
-    return DecoratedGraph(vertices, edges)
-
-
 def _shape_twins(mat):
     """Pairs (v, v + 1) of vertexes whose rows, or columns, are equal.
 
@@ -488,7 +482,14 @@ def _twin_ties(twins, key):
 
 def _decorations(mat, bounds: EnumerationBounds, spare: int,
                  meter: WorkMeter):
-    """All decorated graphs (without gamma) on one shape, up to twin order.
+    """All decorations (without gamma) of one shape, up to twin order.
+
+    Each is yielded as the view :func:`rmfchi.decograph._search` reads:
+    its vertexes, and a ``{neighbor: weights}`` map built once per
+    weight split from the shape's cells and the split's weights, which
+    the split's decorations share and nothing changes after.  A white's
+    neighbors come in cell order, so ``decograph._graph`` lists the
+    edges of the cells in cell order, weight by weight.
 
     ``spare`` is the genus that the shape's cycle rank leaves to the
     non-root vertexes.  With balanced bounds, only the graphs whose
@@ -545,6 +546,9 @@ def _decorations(mat, bounds: EnumerationBounds, spare: int,
     for weights, kinds, ties in _weight_splits(
             mults, cells_at, n_w, bounds, _shape_twins(mat), candidates):
         meter.tick()
+        near = [{} for _ in range(n_w + n_b)]
+        for (i, j, _), ws in zip(cells, weights):
+            near[i][n_w + j] = near[n_w + j][i] = ws
         for white_roots, black_roots in product(
                 _root_choices(candidates[0], kinds, bounds.white_root_weights),
                 _root_choices(candidates[1], kinds, bounds.black_root_weights)):
@@ -565,7 +569,9 @@ def _decorations(mat, bounds: EnumerationBounds, spare: int,
                 if _twin_ties(by_flag, lambda v: genus.get(v, 0)) is None:
                     continue
                 meter.tick()
-                yield _assemble(n_w, n_b, cells, weights, roots, genus)
+                yield tuple(Vertex(Color.WHITE if v < n_w else Color.BLACK,
+                                   genus.get(v, 0), v in roots)
+                            for v in range(n_w + n_b)), near
 
 
 def _splits(total_vertices: int, bounds: EnumerationBounds):
@@ -586,7 +592,10 @@ def _splits(total_vertices: int, bounds: EnumerationBounds):
 
 
 def _plain_classes(bounds: EnumerationBounds, meter: WorkMeter):
-    """(canonical key, its search, gamma-less graph) per isomorphism class.
+    """(canonical key, its search, view) per isomorphism class.
+
+    The view is the (vertexes, ``{neighbor: weights}`` map) of the first
+    decoration of the class (:func:`_decorations`); no graph is built.
 
     With balanced bounds, only the classes that can carry a
     color-swapping gamma (see :func:`_decorations`).  No shape is built
@@ -602,12 +611,12 @@ def _plain_classes(bounds: EnumerationBounds, meter: WorkMeter):
                 continue
             for n_w, n_b in _splits(n_edges + 1 - cycle_rank, bounds):
                 for mat in _shapes(n_w, n_b, n_edges, bounds, meter):
-                    for plain in _decorations(mat, bounds, spare, meter):
-                        searched = _search(plain)
+                    for view in _decorations(mat, bounds, spare, meter):
+                        searched = _search(view)
                         key = _encode(searched, None)
                         if key not in seen:
                             seen.add(key)
-                            yield key, searched, plain
+                            yield key, searched, view
 
 
 def _checked(t: TopType, graphs: list[DecoratedGraph],
@@ -643,8 +652,8 @@ def enum_nonsep(t: TopType, *, gamma_mode: GammaMode = GammaMode.AS_DATA,
     meter = meter or WorkMeter()
     bounds = _bounds(t)
     found: dict[bytes, DecoratedGraph] = {}
-    for _, searched, plain in _plain_classes(bounds, meter):
-        found.update(_gamma_classes(plain, searched, involution))
+    for _, searched, view in _plain_classes(bounds, meter):
+        found.update(_gamma_classes(view, searched, involution))
     graphs = [g for _, g in sorted(found.items())]
     if gamma_mode is GammaMode.EXISTENCE:
         graphs = _existence_projection(graphs)
@@ -660,5 +669,6 @@ def enum_sep(t: TopType, *, allow_full_degree: bool = False,
     """
     _require_sep_census(t, allow_full_degree)
     meter = meter or WorkMeter()
-    found = {key: g for key, _, g in _plain_classes(_bounds(t), meter)}
+    found = {key: _graph(view)
+             for key, _, view in _plain_classes(_bounds(t), meter)}
     return _checked(t, [g for _, g in sorted(found.items())])

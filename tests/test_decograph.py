@@ -165,9 +165,9 @@ def test_find_gammas_equals_brute_force(monkeypatch, swap_cuts_off):
     tested = []
     admissible = decograph._match_admissible
 
-    def counting(cells, gamma, involution):
+    def counting(near, gamma, involution):
         tested.append(gamma)
-        return admissible(cells, gamma, involution)
+        return admissible(near, gamma, involution)
 
     monkeypatch.setattr(decograph, "_match_admissible", counting)
     nonempty = empty = unmirrored = probed = 0
@@ -175,7 +175,8 @@ def test_find_gammas_equals_brute_force(monkeypatch, swap_cuts_off):
         with swap_cuts_off():
             plains = list(_plain_classes(bounds_for(parse_type(text)),
                                          WorkMeter()))
-        for _, _, g in plains:
+        for _, _, view in plains:
+            g = decograph._graph(view)
             mirrored = canonical_key(_color_swapped(g)) == canonical_key(g)
             unmirrored += not mirrored
             for involution in (True, False):
@@ -200,14 +201,14 @@ def test_match_test_agrees_with_the_full_checker(swap_cuts_off):
         with swap_cuts_off():
             plains = list(_plain_classes(bounds_for(parse_type(text)),
                                          WorkMeter()))
-        for _, searched, g in plains:
-            cells = g.cells()
-            for perm in decograph._matches(g, searched):
+        for _, searched, view in plains:
+            g = decograph._graph(view)
+            for perm in decograph._matches(view, searched):
                 for involution in (True, False):
                     clauses = tuple(v.clause for v in gamma_violations(
                         g, perm, involution))
                     assert decograph._match_admissible(
-                        cells, perm, involution) == (not clauses)
+                        view[1], perm, involution) == (not clauses)
                     verdicts[clauses] += 1
     # matches that pass, and matches that fail each of the two clauses
     assert () in verdicts
@@ -217,13 +218,14 @@ def test_match_test_agrees_with_the_full_checker(swap_cuts_off):
 def _whole_prefix_search(g):
     # _search as it was before each node compared one row: every node
     # compares its whole prefix with the best rows', reading each row
-    # from the pair-keyed cells.  Also returns whether a later leaf
-    # replaced the first leaf's rows.
+    # from the pair-keyed cells, and refines g itself, even when g is a
+    # color-swapped copy.  Also returns whether a later leaf replaced
+    # the first leaf's rows.
     cells = g.cells()
     near = [{} for _ in g.vertices]
     for (u, v), weights in cells.items():
         near[u][v] = near[v][u] = weights
-    classes, class_keys = decograph._refined_classes(g, near, False)
+    classes, class_keys = decograph._refined_classes(g.vertices, near)
     header = tuple((key, len(cls)) for key, cls in zip(class_keys, classes))
     slots = [list(cls) for cls in classes]
     order, rows, orders = [], [], []
@@ -260,13 +262,16 @@ def test_search_equals_the_whole_prefix_search(monkeypatch):
     # Comparing one row per node, and none below a smaller prefix, must
     # give the same header, rows and orders, in order, as comparing whole
     # prefixes, on every plain class of a small box and on its
-    # color-swapped copy.  Searched against its own header and rows, a
-    # class must return the orders of its copy's whole-prefix search
-    # when that search reaches them, and none otherwise.  The searches
-    # whose first leaf is not minimal are the ones that test that every
-    # open node compares again after a new best.  The search reads its
-    # own neighbor map, never the checkers' incidence, and find_gammas
-    # builds no graph: there is no color-swapped copy in the library.
+    # color-swapped copy.  Searched against its own search, in its own
+    # refinement read with the colors exchanged, a class must return
+    # the orders of its copy's whole-prefix search, which refines the
+    # copy, when that search reaches them, and none otherwise.  The
+    # searches whose first leaf is not minimal are the ones that test
+    # that every open node compares again after a new best.  The census
+    # hands the search the view that the graph's cells give.  The search
+    # reads its own neighbor map, never the checkers' incidence, and
+    # find_gammas builds no graph: there is no color-swapped copy in the
+    # library.
     def unread(g):
         raise AssertionError("_incidence was read")
 
@@ -282,13 +287,15 @@ def test_search_equals_the_whole_prefix_search(monkeypatch):
     late = gammas = 0
     targets = Counter()
     for t in _graph_model_types(3, 7, 3):
-        for _, searched, g in _plain_classes(bounds_for(t), WorkMeter()):
+        for _, searched, view in _plain_classes(bounds_for(t), WorkMeter()):
+            g = decograph._graph(view)
+            assert decograph._view(g) == view
             for h in (g, _color_swapped(g)):
                 want, replaced = _whole_prefix_search(h)
-                assert decograph._search(h) == want
+                assert decograph._search(decograph._view(h)) == want
                 late += replaced
             header, rows, orders = want  # the copy's
-            got = decograph._search(g, searched[:2])[2]
+            got = decograph._search(view, searched)[2]
             if header != searched[0]:
                 targets["header"] += 1
                 assert got == []
@@ -315,15 +322,61 @@ def test_gamma_classes_key_each_class_by_its_smallest_gamma():
     # exactly those that keying every admissible gamma with
     # canonical_key finds, each carrying its smallest gamma.
     for text in ("1,4,0|", "3,7,0|1,1,1", "2,8,0|1,1"):
-        for _, searched, g in _plain_classes(bounds_for(parse_type(text)),
-                                             WorkMeter()):
+        for _, searched, view in _plain_classes(
+                bounds_for(parse_type(text)), WorkMeter()):
+            g = decograph._graph(view)
             for involution in (True, False):
                 want = {}
                 for gamma in find_gammas(g, involution):
                     want.setdefault(canonical_key(replace(g, gamma=gamma)),
                                     gamma)
-                got = decograph._gamma_classes(g, searched, involution)
+                got = decograph._gamma_classes(view, searched, involution)
                 assert {key: h.gamma for key, h in got.items()} == want
+
+
+def test_search_does_not_depend_on_the_labelling():
+    # Census graphs number their whites first and put twins on
+    # consecutive ids; a random relabelling does neither, so it also
+    # tests that the search of the color-swapped copy reorders its
+    # classes by color, not by id.  On the plain classes of a small box,
+    # and of two types with large twin groups, a relabelled class must
+    # give the same header and rows and as many minimal orders, its
+    # gammas conjugated in both conventions, the same gamma classes,
+    # and on each graph with a gamma the same canonical key.
+    rng = random.Random(31)
+    types = _graph_model_types(3, 6, 3) + [parse_type("4,8,0|1,1,1,1"),
+                                           parse_type("5,9,0|1,1,1,1,1")]
+    relabelled = gammas = 0
+    for t in types:
+        for _, searched, view in _plain_classes(bounds_for(t), WorkMeter()):
+            g = decograph._graph(view)
+            perm = list(range(len(g.vertices)))
+            rng.shuffle(perm)
+            inverse = sorted(range(len(perm)), key=perm.__getitem__)
+            h = relabel(g, perm)
+            h_view = decograph._view(h)
+            h_searched = decograph._search(h_view)
+            assert h_searched[:2] == searched[:2]
+            assert len(h_searched[2]) == len(searched[2])
+            relabelled += 1
+            if t.variant is not Variant.NONSEP:
+                continue
+            keyed = {}
+            conjugates = sorted(tuple([perm[gamma[v]] for v in inverse])
+                                for gamma in find_gammas(g, False))
+            for involution in (True, False):
+                want = [gamma for gamma in conjugates if not involution
+                        or all(gamma[gamma[v]] == v for v in gamma)]
+                assert find_gammas(h, involution) == want
+                gammas += len(want)
+                classes = decograph._gamma_classes(view, searched,
+                                                   involution)
+                assert decograph._gamma_classes(
+                    h_view, h_searched, involution).keys() == classes.keys()
+                keyed.update(classes)
+            for key, with_gamma in keyed.items():
+                assert canonical_key(relabel(with_gamma, perm)) == key
+    assert relabelled > 100 and gammas > 1000
 
 
 def test_tampered_graphs_name_their_violations():

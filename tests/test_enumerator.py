@@ -558,8 +558,9 @@ def _unfiltered_nonsep(t, gamma_mode, involution, swap_cuts_off):
     # and asked for its gammas, and every gamma is keyed on its own.
     found = {}
     with swap_cuts_off():
-        for _, _, plain in enumerator._plain_classes(bounds_for(t),
-                                                     WorkMeter()):
+        for _, _, view in enumerator._plain_classes(bounds_for(t),
+                                                    WorkMeter()):
+            plain = decograph._graph(view)
             for gam in find_gammas(plain, involution):
                 g = replace(plain, gamma=gam)
                 found.setdefault(canonical_key(g), g)
@@ -576,13 +577,15 @@ def test_swap_cuts_off_lists_every_plain_class(swap_cuts_off):
     # quietly drop classes from every test that uses it.
     for text in ("1,4,0|", "2,5,0|1", "2,6,0|2"):
         bounds = bounds_for(parse_type(text))
-        want = [plain for _, _, plain in enumerator._plain_classes(
-            replace(bounds, balanced=False), WorkMeter())
-            if len(plain.ids_of(Color.WHITE))
-            == len(plain.ids_of(Color.BLACK))]
+        want = [decograph._graph(view)
+                for _, _, view in enumerator._plain_classes(
+                    replace(bounds, balanced=False), WorkMeter())]
+        want = [plain for plain in want if len(plain.ids_of(Color.WHITE))
+                == len(plain.ids_of(Color.BLACK))]
         with swap_cuts_off():
-            got = [plain for _, _, plain in enumerator._plain_classes(
-                bounds, WorkMeter())]
+            got = [decograph._graph(view)
+                   for _, _, view in enumerator._plain_classes(
+                       bounds, WorkMeter())]
         assert got == want
 
 
@@ -633,19 +636,20 @@ def test_nonsep_keys_only_swappable_decorations(monkeypatch):
     # keyed 8,397 decorations, and 195 before twin rows and columns were
     # decorated in order; the count is work, not time, so a slide back
     # to keying every decoration fails on any machine.  The
-    # enumerator searches decorations only: graphs with gamma are keyed
-    # inside decograph, from the search that keyed their plain class.
+    # enumerator searches decorations only, with no target: graphs with
+    # gamma are keyed inside decograph, from the search that keyed their
+    # plain class.
     calls = []
     search = decograph._search
 
-    def counted(g, *target):
-        calls.append(g)
-        return search(g, *target)
+    def counted(view, *target):
+        calls.append(target)
+        return search(view, *target)
 
     monkeypatch.setattr(enumerator, "_search", counted)
     assert len(enum_nonsep(nonsep(3, 7, (1,)))) == 31
     assert len(calls) == 104
-    assert all(g.gamma is None for g in calls)
+    assert all(target == () for target in calls)
 
 
 def test_nonsep_searches_each_class_a_fixed_number_of_times(monkeypatch):
@@ -656,21 +660,58 @@ def test_nonsep_searches_each_class_a_fixed_number_of_times(monkeypatch):
     # ran 164 searches; when the class was searched again to find its
     # gammas, the two ran 48 and 403; before twin rows and columns were
     # decorated in order, 37 and 299.
-    calls = []
+    # Only the plain search refines: the search of the copy reads the
+    # copy's classes off it, so the second census refines 104 times,
+    # not 208.  The census hands each search its decoration's neighbor
+    # map, so no cells() table is built before the output check, and it
+    # builds only the graphs it returns and one plain graph per class
+    # with a gamma; it once built every decoration, 269 graphs per pass
+    # of the benchmark's ladder.
+    calls, refined, built = [], [], []
     search = decograph._search
+    refine = decograph._refined_classes
+    validate = DecoratedGraph.__post_init__
 
-    def counted(g, *target):
-        calls.append(g)
-        return search(g, *target)
+    def counted(view, *target):
+        calls.append(view)
+        return search(view, *target)
+
+    def counted_refine(*args):
+        refined.append(args)
+        return refine(*args)
+
+    def counted_build(self):
+        built.append(self)
+        validate(self)
 
     monkeypatch.setattr(decograph, "_search", counted)
     monkeypatch.setattr(enumerator, "_search", counted)
+    monkeypatch.setattr(decograph, "_refined_classes", counted_refine)
     assert len(enum_nonsep(nonsep(3, 7, (1, 1, 1)), involution=False)) \
         == 13
     assert len(calls) == 22
+    assert len(refined) == 11
     calls.clear()
-    assert len(enum_nonsep(nonsep(3, 7, (1,)))) == 31
+    refined.clear()
+    monkeypatch.setattr(DecoratedGraph, "__post_init__", counted_build)
+    got = enum_nonsep(nonsep(3, 7, (1,)))
+    monkeypatch.undo()
+    assert len(got) == 31
     assert len(calls) == 208
+    assert len(refined) == 104
+    returned = {id(g) for g in got}
+    plain = [g for g in built if id(g) not in returned]
+    assert len(built) == len(plain) + len(got)
+    assert len(set(plain)) == len(plain)
+    assert set(plain) == {strip_gamma(g) for g in got}
+
+    def unread(self):
+        raise AssertionError("cells() was built")
+
+    monkeypatch.setattr(DecoratedGraph, "cells", unread)
+    for _, searched, view in enumerator._plain_classes(
+            bounds_for(nonsep(3, 7, (1,))), WorkMeter()):
+        decograph._gamma_classes(view, searched, True)
 
 
 def test_twin_order_keys_one_decoration_per_class(monkeypatch):
@@ -854,8 +895,9 @@ def test_minimal_orders_count_the_automorphisms():
     # bijections that keep the vertex data and every pair's weights.
     classes = symmetric = 0
     for t in _graph_model_types(3, 6, 3):
-        for _, searched, plain in enumerator._plain_classes(bounds_for(t),
-                                                            WorkMeter()):
+        for _, searched, view in enumerator._plain_classes(bounds_for(t),
+                                                           WorkMeter()):
+            plain = decograph._graph(view)
             form = (plain.vertices, plain.cells())
             automorphisms = sum(1 for h in oracle._relabelings(plain)
                                 if (h.vertices, h.cells()) == form)
