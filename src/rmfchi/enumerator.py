@@ -2,7 +2,8 @@
 
 The fast census builds bipartite multigraph shapes in a canonical form
 (maximal matrix under row and column permutations), decorates them, and
-deduplicates them by the canonical key of one search each.  A
+deduplicates each shape's decorations by the canonical form of one
+search each.  A
 decoration reaches the search as its view, the vertexes and a
 ``{neighbor: weights}`` map, and a graph is built only for a class the
 census returns.  Equal rows,
@@ -206,7 +207,10 @@ def _is_canonical(mat) -> bool:
     A remaining row whose largest form beats the next row of the matrix
     shows a larger matrix; one that falls short is dropped; one that
     ties splits each block by its values and the search goes on.  Equal
-    rows give equal branches, so each is tried once.
+    rows give equal branches, so each is tried once.  At the first
+    level there is one block, so a row beats the first row exactly when
+    its parts sorted descending do; :func:`_shapes` has already cut
+    such a row, and that level only re-checks the cut.
     """
 
     def rec(r: int, rest, blocks) -> bool:
@@ -264,7 +268,13 @@ def _shapes(n_w: int, n_b: int, total: int, bounds: EnumerationBounds,
     They are also cut when they cannot become canonical: if column j
     read top-down were below column j + 1, swapping the two would raise
     the first row where they differ, and the row-sorted result would be
-    larger.  :func:`_is_canonical` stays the final judge.
+    larger.  A row below the first is cut too when its parts, sorted
+    descending, beat the first row: ordering the columns to sort that
+    row descending, then sorting the rows, puts a row at least that
+    large on top, so the matrix is larger.  A placed row is final, so
+    no completion of the prefix is canonical either (orderly
+    generation, as in Read 1978 and McKay 1998).
+    :func:`_is_canonical` stays the final judge.
 
     Connectivity is decided row by row.  The column cut keeps the used
     columns a prefix and rows never rise, so a row after the first with
@@ -308,7 +318,9 @@ def _shapes(n_w: int, n_b: int, total: int, bounds: EnumerationBounds,
             for row in _compositions_upto(s, prev, ties):
                 # s - (n_b - zeros) is the row's own excess
                 with_row = excess + s - n_b + row.count(0)
-                if with_row > cycle_rank or i and not any(row[:used]):
+                if with_row > cycle_rank or i and (
+                        not any(row[:used])
+                        or tuple(sorted(row, reverse=True)) > acc[0]):
                     continue
                 sums = tuple(map(add, colsums, row))
                 if sum(c <= 1 for c in sums) < black_roots:
@@ -592,9 +604,15 @@ def _splits(total_vertices: int, bounds: EnumerationBounds):
 
 
 def _plain_classes(bounds: EnumerationBounds, meter: WorkMeter):
-    """(canonical key, its search, view) per isomorphism class.
+    """(key, its search, view) per isomorphism class.
 
-    The view is the (vertexes, ``{neighbor: weights}`` map) of the first
+    The key is the search's (header, rows) as a tuple, which
+    :func:`rmfchi.decograph._encode` serializes into the canonical key
+    of a gamma-less graph; the census encodes only the classes it
+    returns.  Keys are compared within one shape: an isomorphism maps
+    the multigraph beneath a graph onto that of the other, so two
+    graphs of different canonical shapes are never isomorphic.  The
+    view is the (vertexes, ``{neighbor: weights}`` map) of the first
     decoration of the class (:func:`_decorations`); no graph is built.
 
     With balanced bounds, only the classes that can carry a
@@ -603,7 +621,6 @@ def _plain_classes(bounds: EnumerationBounds, meter: WorkMeter):
     :func:`_genus_pairs` rejects, since none of its decorations has a
     genus composition.
     """
-    seen: set[bytes] = set()
     for n_edges in range(1, bounds.max_edges + 1):
         for cycle_rank in range(0, bounds.genus_budget + 1):
             spare = bounds.genus_budget - cycle_rank
@@ -611,9 +628,10 @@ def _plain_classes(bounds: EnumerationBounds, meter: WorkMeter):
                 continue
             for n_w, n_b in _splits(n_edges + 1 - cycle_rank, bounds):
                 for mat in _shapes(n_w, n_b, n_edges, bounds, meter):
+                    seen: set[tuple] = set()
                     for view in _decorations(mat, bounds, spare, meter):
                         searched = _search(view)
-                        key = _encode(searched, None)
+                        key = searched[0], tuple(searched[1])
                         if key not in seen:
                             seen.add(key)
                             yield key, searched, view
@@ -669,6 +687,6 @@ def enum_sep(t: TopType, *, allow_full_degree: bool = False,
     """
     _require_sep_census(t, allow_full_degree)
     meter = meter or WorkMeter()
-    found = {key: _graph(view)
-             for key, _, view in _plain_classes(_bounds(t), meter)}
+    found = {_encode(searched, None): _graph(view)
+             for _, searched, view in _plain_classes(_bounds(t), meter)}
     return _checked(t, [g for _, g in sorted(found.items())])

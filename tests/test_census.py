@@ -478,11 +478,13 @@ def test_csv_projection():
 
 
 def test_sweep_respects_work_limit(monkeypatch):
-    # The costliest record of the box, 2,5,0|1, takes 30 ticks and the
+    # The costliest record of the box, 2,5,0|1, takes 26 ticks and the
     # next one 16, so one tick less than its cost flags it alone.  It
     # took 62 ticks, and the limit was 50, before weight splits were
-    # cut by root demand, twin order and color pairing.
-    monkeypatch.setenv("RMF_WORK_LIMIT", "29")
+    # cut by root demand, twin order and color pairing, and 30 ticks,
+    # with a limit of 29, before a row whose parts sorted descending
+    # beat the first row was cut as it was placed.
+    monkeypatch.setenv("RMF_WORK_LIMIT", "25")
     records = list(sweep(SweepBounds(2, 5, 1, eps="0")))
     flagged = [r for r in records if r.error]
     fine = [r for r in records if not r.error]

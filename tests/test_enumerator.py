@@ -373,13 +373,15 @@ def test_shape_search_stays_pruned(monkeypatch):
     # genus compositions were generated only when their two colors can
     # be swapped, 1,020 before twin rows and columns were decorated in
     # order, and 913 before weight splits were cut by root demand, twin
-    # order and color pairing.  The limit is work, not time, so a slide
-    # back to wasteful generation fails on any machine.
-    monkeypatch.setenv("RMF_WORK_LIMIT", "248")
+    # order and color pairing, and 248 before a row whose parts sorted
+    # descending beat the first row was cut as it was placed.  The limit
+    # is work, not time, so a slide back to wasteful generation fails on
+    # any machine.
+    monkeypatch.setenv("RMF_WORK_LIMIT", "188")
     meter = WorkMeter()
     graphs = enum_nonsep(nonsep(2, 8, (1, 1)), meter=meter)
     assert len(graphs) == 17
-    assert meter.used == 248
+    assert meter.used == 188
 
 
 def test_shapes_stay_within_the_cycle_rank(monkeypatch):
@@ -387,9 +389,11 @@ def test_shapes_stay_within_the_cycle_rank(monkeypatch):
     # the cycle rank leaves a matrix that can never be connected, so it
     # is skipped.  That took the separating 4,9,1|1,1,3 from 47 ticks to
     # 27 and 4,9,1|-1,2,2 from 36 to 22, and 2,8,0|1,1 from 1,461 degree
-    # pairing tests to 581.  The counts are work, not time, so a cut that
-    # stops biting fails on any machine.
-    for text, count, ticks in (("4,9,1|1,1,3", 14, 27),
+    # pairing tests to 581.  Cutting a row whose parts sorted descending
+    # beat the first row then took 4,9,1|1,1,3 to 26 ticks and
+    # 2,8,0|1,1 to 379 pairing tests.  The counts are work, not time, so
+    # a cut that stops biting fails on any machine.
+    for text, count, ticks in (("4,9,1|1,1,3", 14, 26),
                                ("4,9,1|-1,2,2", 11, 22)):
         meter = WorkMeter()
         graphs = enum_sep(parse_type(text), allow_full_degree=True,
@@ -404,22 +408,120 @@ def test_shapes_stay_within_the_cycle_rank(monkeypatch):
 
     monkeypatch.setattr(enumerator, "_degrees_can_pair", counted)
     assert len(enum_nonsep(nonsep(2, 8, (1, 1)))) == 17
-    assert len(calls) == 581
+    assert len(calls) == 379
 
 
 def test_odd_spare_genus_builds_no_shape(monkeypatch):
     # 3,7,0|1 has a genus budget of 2, so cycle rank 1 leaves its
     # non-root vertexes an odd genus, which no color-swapping gamma can
     # pair.  Skipping that cycle rank keeps the same 31 graphs and takes
-    # the census from 341 ticks to 185 (613 before weight splits were
-    # cut by root demand, twin order and color pairing).
+    # the census from 274 ticks to 176: from 341 to 185 before a row
+    # whose parts sorted descending beat the first row was cut as it
+    # was placed, and the 341 was 613 before weight splits were cut by
+    # root demand, twin order and color pairing.
     meter = WorkMeter()
     graphs = enum_nonsep(nonsep(3, 7, (1,)), meter=meter)
-    assert len(graphs) == 31 and meter.used == 185
+    assert len(graphs) == 31 and meter.used == 176
     monkeypatch.setattr(enumerator, "_genus_pairs", lambda spare: True)
     meter = WorkMeter()
     assert enum_nonsep(nonsep(3, 7, (1,)), meter=meter) == graphs
-    assert meter.used == 341
+    assert meter.used == 274
+
+
+def _shapes_without_row_cut(n_w: int, n_b: int, total: int, bounds,
+                            meter):
+    # The shape generator before a row whose parts sorted descending
+    # beat the first row was cut as it was placed: such a matrix was
+    # completed and then rejected by _is_canonical.
+    white_roots = len(bounds.white_root_weights)
+    black_roots = len(bounds.black_root_weights)
+    cycle_rank = total - (n_w + n_b) + 1
+
+    def rows_from(i, remaining, prev, ties, colsums, row_sums, excess, acc):
+        if i == n_w:
+            meter.tick()
+            if all(colsums) and enumerator._is_canonical(tuple(acc)):
+                yield tuple(acc)
+            return
+        left_after = n_w - i - 1
+        lowest = remaining if left_after == 0 else 1
+        used = sum(map(bool, colsums))
+        for s in range(lowest, remaining - left_after + 1):
+            if row_sums.count(1) + (s == 1) + left_after < white_roots:
+                continue
+            for row in enumerator._compositions_upto(s, prev, ties):
+                with_row = excess + s - n_b + row.count(0)
+                if with_row > cycle_rank or i and not any(row[:used]):
+                    continue
+                sums = tuple(a + b for a, b in zip(colsums, row))
+                if sum(c <= 1 for c in sums) < black_roots:
+                    continue
+                if bounds.balanced and not enumerator._degrees_can_pair(
+                        row_sums + (s,), sums, remaining - s):
+                    continue
+                still_tied = tuple(t and a == b
+                                   for t, a, b in zip(ties, row, row[1:]))
+                yield from rows_from(i + 1, remaining - s, row, still_tied,
+                                     sums, row_sums + (s,), with_row,
+                                     acc + [row])
+
+    yield from rows_from(0, total, (total,) * n_b, (True,) * (n_b - 1),
+                         (0,) * n_b, (), 0, [])
+
+
+def test_row_cut_rejects_only_non_canonical_matrices():
+    # A row below the first whose parts sorted descending beat the
+    # first row shows a larger matrix.  Over every matrix of the box of
+    # test_canonicity_matches_column_orders, each such matrix fails the
+    # definition: 23,533 of the 39,897.
+    cut = 0
+    for n_b in range(1, 5):
+        rows = sorted(product(range(3), repeat=n_b), reverse=True)
+        for n_w in range(2, 5):
+            for mat in combinations_with_replacement(rows, n_w):
+                if sum(map(sum, mat)) <= 8 and any(
+                        tuple(sorted(row, reverse=True)) > mat[0]
+                        for row in mat[1:]):
+                    cut += 1
+                    assert not _canonical_by_column_orders(mat, n_b), mat
+    assert cut == 23_533
+
+
+def test_row_cut_keeps_every_shape_in_order():
+    # On every shape call of the six ladder types and of the graph-model
+    # types of g <= 3, n <= 7, |i| <= 3, the cut generator yields what
+    # the uncut one does, in the same order: 734 completed matrices
+    # instead of 1,013 over the 671 calls.
+    ladder = [parse_type(text) for text in (
+        "2,5,0|1", "3,7,0|1", "2,8,0|1,1", "3,8,1|3,3", "4,9,1|-1,2,2",
+        "4,9,1|1,1,3")]
+    calls = set()
+    for t in ladder + _graph_model_types(3, 7, 3):
+        bounds = bounds_for(t)
+        for n_edges in range(1, bounds.max_edges + 1):
+            for cycle_rank in range(bounds.genus_budget + 1):
+                for n_w, n_b in enumerator._splits(n_edges + 1 - cycle_rank,
+                                                   bounds):
+                    calls.add((n_w, n_b, n_edges, bounds))
+    completed = [0, 0]
+    for n_w, n_b, total, bounds in calls:
+        cut, uncut = WorkMeter(), WorkMeter()
+        assert list(enumerator._shapes(n_w, n_b, total, bounds, cut)) \
+            == list(_shapes_without_row_cut(n_w, n_b, total, bounds, uncut))
+        completed[0] += cut.used
+        completed[1] += uncut.used
+    assert completed == [734, 1_013]
+
+
+def test_row_cut_bites_as_rows_are_placed():
+    # The 9-edge 5 x 5 shapes of 2,8,0|1,1: 20 are canonical.  Before a
+    # row whose parts sorted descending beat the first row was cut as
+    # it was placed, 96 matrices were completed for them.  A count is
+    # work, not time, so a cut that stops biting fails on any machine.
+    meter = WorkMeter()
+    shapes = list(enumerator._shapes(5, 5, 9, bounds_for(nonsep(2, 8, (1, 1))),
+                                     meter))
+    assert (len(shapes), meter.used) == (20, 42)
 
 
 def _uncut_weight_splits(mults, total: int):
