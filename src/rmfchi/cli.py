@@ -259,10 +259,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Built once, at import: ``parse_args`` does not change a parser, so
+# every call of :func:`main` in a process shares this one.
+PARSER = build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = PARSER.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -16,12 +16,13 @@ the same canonical search, run on the graph and then on the graph
 again against its own header and rows, in its own refinement read with
 the two colors exchanged: no color-swapped copy is built, and the
 second search does not refine.  ``_gamma_classes`` keys them from the
-graph's own search.  The search reads a view, the vertexes and a
-per-vertex ``{neighbor: weights}`` map, for both its refinement and its
-rows: :func:`_view` reads it off a graph's cells, and the fast census
-hands over each decoration's map, so that it builds a graph
-(:func:`_graph`) only for a class it returns.  The checkers read
-:func:`_incidence`.
+graph's own search.  The search reads a view, each vertex's
+refinement key (:func:`_vertex_key`) and a per-vertex
+``{neighbor: weights}`` map, the keys to start its refinement and the
+map to refine and to read its rows: :func:`_view` reads it off a
+graph, and the fast census hands over each decoration's keys and map,
+so that it builds vertexes and a graph (:func:`_graph`) only for a
+class it returns.  The checkers read :func:`_incidence`.
 
 The last section is the contract both censuses work under, the fast
 one of :mod:`rmfchi.enumerator` and the oracle of :mod:`rmfchi.oracle`:
@@ -308,27 +309,46 @@ def gamma_violations(g: DecoratedGraph, gamma: tuple[int, ...],
     return out
 
 
+def _vertex_key(color: str, root: bool, genus: int,
+                weights: tuple[int, ...]) -> tuple:
+    """A vertex's initial refinement key: its color's value, root flag,
+    genus, degree and sorted incident edge weights.
+
+    The fast census builds these keys from its decorations, and
+    :func:`_view` from a graph's cells; both go through this rule, so a
+    class's header is the same bytes either way.
+    """
+    return color, int(root), genus, len(weights), weights
+
+
 def _view(g: DecoratedGraph):
-    """The search's view of g: its vertexes and a per-vertex
-    ``{neighbor: weights}`` map, read from ``g.cells()``."""
+    """The search's view of g: each vertex's :func:`_vertex_key` and a
+    per-vertex ``{neighbor: weights}`` map, read from ``g.cells()``."""
     near: list[dict[int, tuple[int, ...]]] = [{} for _ in g.vertices]
     for (u, v), weights in g.cells().items():
         near[u][v] = near[v][u] = weights
-    return g.vertices, near
+    keys = tuple(_vertex_key(vert.color._value_, vert.root, vert.weight,
+                             tuple(sorted([w for ws in at.values()
+                                           for w in ws])))
+                 for vert, at in zip(g.vertices, near))
+    return keys, near
 
 
 def _graph(view) -> DecoratedGraph:
-    """The gamma-less graph of a view: the white vertexes by id, each
-    with its neighbors in the map's order and their weights.
+    """The gamma-less graph of a view: a vertex per key, with the key's
+    color, genus and root flag, and the white vertexes' edges by id,
+    each with its neighbors in the map's order and their weights.
 
     The census's map lists a white's neighbors in cell order, so these
     are the edges of the shape's cells in cell order, weight by weight.
+    The census builds a graph only for a class it returns.
     """
-    vertices, near = view
-    return DecoratedGraph(vertices, tuple(
-        Edge(u, v, w) for u, vert in enumerate(vertices)
-        if vert.color is Color.WHITE
-        for v, weights in near[u].items() for w in weights))
+    keys, near = view
+    return DecoratedGraph(
+        tuple(Vertex(Color(key[0]), key[2], bool(key[1])) for key in keys),
+        tuple(Edge(u, v, w) for u, key in enumerate(keys)
+              if key[0] == Color.WHITE._value_
+              for v, weights in near[u].items() for w in weights))
 
 
 def _matches(view, searched):
@@ -598,12 +618,12 @@ def _sep_violations(g: DecoratedGraph, t: TopType) -> ViolationList:
 # canonical form
 
 
-def _refined_classes(vertices, near):
+def _refined_classes(keys, near):
     """Partition vertexes into ordered classes by iterated refinement.
 
-    ``near`` is the search's per-vertex ``{neighbor: weights}`` map.  A
-    vertex's initial key is its color, root flag, genus, degree and
-    sorted incident edge weights; the refinement then adds the sorted
+    ``keys`` are the vertexes' initial keys (:func:`_vertex_key`) and
+    ``near`` the search's per-vertex ``{neighbor: weights}`` map, the
+    two halves of a view.  The refinement adds the sorted
     (edge weight, neighbor rank) pairs, to the vertexes of classes with
     more than one member: a lone vertex's key is its rank, which no
     other key shares, so every rank comes out the same.  It stops when
@@ -613,30 +633,25 @@ def _refined_classes(vertices, near):
     identical for isomorphic graphs.  Returns (classes, class_keys)
     where class_keys[i] is the shared attribute key of classes[i].
     """
-    init = []
-    for vert, at in zip(vertices, near):
-        weights = sorted([w for ws in at.values() for w in ws])
-        init.append((vert.color._value_, int(vert.root), vert.weight,
-                     len(weights), tuple(weights)))
-    index = {key: r for r, key in enumerate(sorted(set(init)))}
-    rank = [index[key] for key in init]
+    index = {key: r for r, key in enumerate(sorted(set(keys)))}
+    rank = [index[key] for key in keys]
     pairs = [[(w, u) for u, ws in at.items() for w in ws] for at in near]
     while len(index) < len(rank):
         size = [0] * len(index)
         for r in rank:
             size[r] += 1
-        keys = [(r, tuple(sorted([(w, rank[u]) for w, u in pairs[v]])))
-                if size[r] > 1 else (r,) for v, r in enumerate(rank)]
-        split = {key: r for r, key in enumerate(sorted(set(keys)))}
+        refined = [(r, tuple(sorted([(w, rank[u]) for w, u in pairs[v]])))
+                   if size[r] > 1 else (r,) for v, r in enumerate(rank)]
+        split = {key: r for r, key in enumerate(sorted(set(refined)))}
         if len(split) == len(index):
             break
         index = split
-        rank = [index[key] for key in keys]
+        rank = [index[key] for key in refined]
 
     ordered: list[list[int]] = [[] for _ in index]
     for v, r in enumerate(rank):  # the ranks are 0, 1, ... in class order
         ordered[r].append(v)
-    return ordered, [init[cls[0]] for cls in ordered]
+    return ordered, [keys[cls[0]] for cls in ordered]
 
 
 def _color_swapped_classes(searched):
@@ -669,8 +684,9 @@ def _color_swapped_classes(searched):
 def _search(view, target=None):
     """The backtracking search over the vertex orders the refinement admits.
 
-    ``view`` is (vertexes, ``{neighbor: weights}`` map per vertex), as
-    :func:`_view` or the census builds it.  An order lists the refined
+    ``view`` is (initial key per vertex, ``{neighbor: weights}`` map per
+    vertex), as :func:`_view` or the census builds it; the keys are read
+    only to refine.  An order lists the refined
     classes one after another.  Its rows are, per position, the edge
     weights to every earlier position.  Returns (header, rows, orders):
     the class header, the minimal rows and every order that achieves
@@ -697,9 +713,9 @@ def _search(view, target=None):
     orders exactly when the copy is isomorphic to the graph, and then
     they are the copy's minimal orders.
     """
-    vertices, near = view
+    keys, near = view
     if target is None:
-        classes, class_keys = _refined_classes(vertices, near)
+        classes, class_keys = _refined_classes(keys, near)
         header = tuple(zip(class_keys, map(len, classes)))
         best = None
     else:

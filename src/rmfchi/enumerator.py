@@ -3,10 +3,9 @@
 The fast census builds bipartite multigraph shapes in a canonical form
 (maximal matrix under row and column permutations), decorates them, and
 deduplicates each shape's decorations by the canonical form of one
-search each.  A
-decoration reaches the search as its view, the vertexes and a
-``{neighbor: weights}`` map, and a graph is built only for a class the
-census returns.  Equal rows,
+search each.  A decoration reaches the search as its view, each
+vertex's refinement key and a ``{neighbor: weights}`` map, and vertexes
+and a graph are built only for a class the census returns.  Equal rows,
 and equal columns, of a shape are decorated in order: a decoration that
 swapping two of them maps to an earlier one is skipped, since it is
 never the first of its class (the proof is in :func:`_decorations`).
@@ -32,7 +31,6 @@ from .decograph import (
     Color,
     DecoratedGraph,
     GammaMode,
-    Vertex,
     WorkMeter,
     _encode,
     _existence_projection,
@@ -44,6 +42,7 @@ from .decograph import (
     _require_sep_census,
     _search,
     _sep_violations,
+    _vertex_key,
     canonical_key,  # not called here; censusbench/tracer.py rebinds it
     check_nonsep,  # not called here; censusbench/tracer.py rebinds it
     check_sep,  # not called here; censusbench/tracer.py rebinds it
@@ -497,11 +496,14 @@ def _decorations(mat, bounds: EnumerationBounds, spare: int,
     """All decorations (without gamma) of one shape, up to twin order.
 
     Each is yielded as the view :func:`rmfchi.decograph._search` reads:
-    its vertexes, and a ``{neighbor: weights}`` map built once per
-    weight split from the shape's cells and the split's weights, which
-    the split's decorations share and nothing changes after.  A white's
-    neighbors come in cell order, so ``decograph._graph`` lists the
-    edges of the cells in cell order, weight by weight.
+    each vertex's refinement key (``decograph._vertex_key``), built from
+    its color, root flag, genus and kind, the sorted weights that
+    :func:`_weight_splits` gives it, so no vertex object is built; and a
+    ``{neighbor: weights}`` map built once per weight split from the
+    shape's cells and the split's weights, which the split's
+    decorations share and nothing changes after.  A white's neighbors
+    come in cell order, so ``decograph._graph`` lists the edges of the
+    cells in cell order, weight by weight.
 
     ``spare`` is the genus that the shape's cycle rank leaves to the
     non-root vertexes.  With balanced bounds, only the graphs whose
@@ -554,6 +556,7 @@ def _decorations(mat, bounds: EnumerationBounds, spare: int,
     candidates = [[v for v in vertexes
                    if len(cells_at[v]) == 1 and mults[cells_at[v][0]] == 1]
                   for vertexes in (range(n_w), range(n_w, n_w + n_b))]
+    colors = [Color.WHITE.value] * n_w + [Color.BLACK.value] * n_b
 
     for weights, kinds, ties in _weight_splits(
             mults, cells_at, n_w, bounds, _shape_twins(mat), candidates):
@@ -581,8 +584,8 @@ def _decorations(mat, bounds: EnumerationBounds, spare: int,
                 if _twin_ties(by_flag, lambda v: genus.get(v, 0)) is None:
                     continue
                 meter.tick()
-                yield tuple(Vertex(Color.WHITE if v < n_w else Color.BLACK,
-                                   genus.get(v, 0), v in roots)
+                yield tuple(_vertex_key(colors[v], v in roots,
+                                        genus.get(v, 0), kinds[v])
                             for v in range(n_w + n_b)), near
 
 
@@ -612,8 +615,9 @@ def _plain_classes(bounds: EnumerationBounds, meter: WorkMeter):
     returns.  Keys are compared within one shape: an isomorphism maps
     the multigraph beneath a graph onto that of the other, so two
     graphs of different canonical shapes are never isomorphic.  The
-    view is the (vertexes, ``{neighbor: weights}`` map) of the first
-    decoration of the class (:func:`_decorations`); no graph is built.
+    view is the (vertex keys, ``{neighbor: weights}`` map) of the first
+    decoration of the class (:func:`_decorations`); no vertex or graph
+    is built.
 
     With balanced bounds, only the classes that can carry a
     color-swapping gamma (see :func:`_decorations`).  No shape is built

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import errno
 import io
@@ -429,3 +430,36 @@ def test_module_entry_point():
     proc = subprocess.run([sys.executable, "-m", "rmfchi", "dim", "1,3,0|1"],
                           capture_output=True, text=True)
     assert proc.returncode == 0 and proc.stdout == "6\n"
+
+
+def test_one_parser_serves_every_call(capsys, monkeypatch):
+    # main parses with the module's one parser: a usage error, --help
+    # and a rejected choice leave it as it was, so the same query run
+    # twice after them prints what a fresh process prints.
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    assert main(["chi-n"]) == 2
+    assert "usage: rmfchi chi-n" in capsys.readouterr().err
+    assert main(["--help"]) == 0
+    assert capsys.readouterr().out.startswith("usage: rmfchi")
+    assert main(["graphs", "1,3,0|1", "--format", "xml"]) == 2
+    assert "invalid choice: 'xml'" in capsys.readouterr().err
+    query = ["chi-n", "--json", "2,5,0|1"]
+    outs = []
+    for _ in range(2):
+        assert main(query) == 0
+        outs.append(capsys.readouterr().out)
+    assert built == []
+    cli.build_parser()
+    assert built  # the counter sees a parser being built
+
+    proc = subprocess.run([sys.executable, "-m", "rmfchi", *query],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert outs == [proc.stdout] * 2

@@ -225,7 +225,8 @@ def _whole_prefix_search(g):
     near = [{} for _ in g.vertices]
     for (u, v), weights in cells.items():
         near[u][v] = near[v][u] = weights
-    classes, class_keys = decograph._refined_classes(g.vertices, near)
+    classes, class_keys = decograph._refined_classes(decograph._view(g)[0],
+                                                     near)
     header = tuple((key, len(cls)) for key, cls in zip(class_keys, classes))
     slots = [list(cls) for cls in classes]
     order, rows, orders = [], [], []
