@@ -15,8 +15,10 @@ used for deduplication.  :func:`find_gammas` reads the symmetries off
 the same canonical search, run on the graph and then on the graph
 again against its own header and rows, in its own refinement read with
 the two colors exchanged: no color-swapped copy is built, and the
-second search does not refine.  ``_gamma_classes`` keys them from the
-graph's own search.  The search reads a view, each vertex's
+second search does not refine and stops at its first isomorphism.  The
+others are that one composed with the automorphisms, which the first
+search lists as its minimal orders.  ``_gamma_classes`` keys them from
+the graph's own search.  The search reads a view, each vertex's
 refinement key (:func:`_vertex_key`) and a per-vertex
 ``{neighbor: weights}`` map, the keys to start its refinement and the
 map to refine and to read its rows: :func:`_view` reads it off a
@@ -359,15 +361,19 @@ def _matches(view, searched):
     No copy is built: the graph is searched against its own header and
     rows, in the classes of its own refinement read with the two colors
     exchanged, so a branch of the search ends at the first row that
-    differs from the graph's, and the orders it returns are those that
-    reach the graph's rows.
+    differs from the graph's, and the search stops at the first order
+    that reaches the graph's rows.  That order, matched position by
+    position with each minimal order of the graph, gives each
+    isomorphism once: the isomorphisms onto the copy are one of them
+    composed with each automorphism (McKay & Piperno 2014), and the
+    minimal orders are the automorphisms applied to the first one.
     """
-    orders = searched[2]
     for match in _search(view, searched)[2]:
-        perm = [0] * len(orders[0])
-        for v, image in zip(orders[0], match):
-            perm[v] = image
-        yield perm
+        for order in searched[2]:
+            perm = [0] * len(order)
+            for v, image in zip(order, match):
+                perm[v] = image
+            yield perm
 
 
 def _match_admissible(near, gamma, involution: bool) -> bool:
@@ -405,13 +411,16 @@ def find_gammas(g: DecoratedGraph,
     differs from them.  No copy is built, and the second search does
     not refine: the copy's refinement is the graph's own with the two
     colors exchanged (see :func:`_search`).  The copy is isomorphic to
-    the graph exactly when some orders of that second search reach the
-    graph's header and rows.  Then every such order, matched position
-    by position with the graph's first minimal order, is one
-    isomorphism, and each isomorphism arises once: two minimal orders
-    of one graph differ by an automorphism.  The permutations are kept
-    when :func:`gamma_violations` would find nothing, so with
-    ``involution`` (the default) only order-two symmetries survive.
+    the graph exactly when some order of that second search reaches the
+    graph's header and rows, and the search stops at the first.  That
+    order, matched position by position with each of the graph's
+    minimal orders, gives one isomorphism per automorphism, and each
+    isomorphism arises once: the isomorphisms onto the copy are one of
+    them composed with each automorphism, and two minimal orders of one
+    graph differ by an automorphism (:func:`_matches`).  The
+    permutations are kept when :func:`gamma_violations` would find
+    nothing, so with ``involution`` (the default) only order-two
+    symmetries survive.
     Only two of its clauses are tested (:func:`_match_admissible`): an
     isomorphism onto the copy is a permutation that swaps colors, keeps
     each vertex's genus and root flag (the headers hold them) and maps
@@ -708,10 +717,12 @@ def _search(view, target=None):
     it returns no orders; that is when the black and white blocks of
     the target's header differ somewhere other than in the color.
     Otherwise it prunes at the first row that differs from the
-    target's and returns every order that reaches the target rows.
-    Header and rows fix a graph on its positions, so there are such
-    orders exactly when the copy is isomorphic to the graph, and then
-    they are the copy's minimal orders.
+    target's and returns the first order that reaches the target rows,
+    if any: a leaf returns whether the search has a target, and a node
+    returns True as soon as a child does.  Header and rows fix a graph
+    on its positions, so there is such an order exactly when the copy
+    is isomorphic to the graph, and then it is the copy's first minimal
+    order.
     """
     keys, near = view
     if target is None:
@@ -735,7 +746,7 @@ def _search(view, target=None):
             if not equal:
                 best, orders = list(rows), []
             orders.append(tuple(order))
-            return
+            return target is not None
         depth = len(rows)
         for v in list(slots[ci]):
             at = near[v]
@@ -749,7 +760,8 @@ def _search(view, target=None):
             order.append(v)
             rows.append(row)
             reached = best
-            rec(ci if slots[ci] else ci + 1, child_equal)
+            if rec(ci if slots[ci] else ci + 1, child_equal):
+                return True
             if best is not reached:
                 equal = True
             rows.pop()

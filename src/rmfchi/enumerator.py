@@ -607,12 +607,12 @@ def _splits(total_vertices: int, bounds: EnumerationBounds):
 
 
 def _plain_classes(bounds: EnumerationBounds, meter: WorkMeter):
-    """(key, its search, view) per isomorphism class.
+    """(search, view) per isomorphism class.
 
-    The key is the search's (header, rows) as a tuple, which
-    :func:`rmfchi.decograph._encode` serializes into the canonical key
-    of a gamma-less graph; the census encodes only the classes it
-    returns.  Keys are compared within one shape: an isomorphism maps
+    Classes are told apart by the search's (header, rows) as a tuple,
+    which :func:`rmfchi.decograph._encode` serializes into the canonical
+    key of a gamma-less graph; the census encodes only the classes it
+    returns.  They are compared within one shape: an isomorphism maps
     the multigraph beneath a graph onto that of the other, so two
     graphs of different canonical shapes are never isomorphic.  The
     view is the (vertex keys, ``{neighbor: weights}`` map) of the first
@@ -638,7 +638,7 @@ def _plain_classes(bounds: EnumerationBounds, meter: WorkMeter):
                         key = searched[0], tuple(searched[1])
                         if key not in seen:
                             seen.add(key)
-                            yield key, searched, view
+                            yield searched, view
 
 
 def _checked(t: TopType, graphs: list[DecoratedGraph],
@@ -674,7 +674,7 @@ def enum_nonsep(t: TopType, *, gamma_mode: GammaMode = GammaMode.AS_DATA,
     meter = meter or WorkMeter()
     bounds = _bounds(t)
     found: dict[bytes, DecoratedGraph] = {}
-    for _, searched, view in _plain_classes(bounds, meter):
+    for searched, view in _plain_classes(bounds, meter):
         found.update(_gamma_classes(view, searched, involution))
     graphs = [g for _, g in sorted(found.items())]
     if gamma_mode is GammaMode.EXISTENCE:
@@ -692,5 +692,5 @@ def enum_sep(t: TopType, *, allow_full_degree: bool = False,
     _require_sep_census(t, allow_full_degree)
     meter = meter or WorkMeter()
     found = {_encode(searched, None): _graph(view)
-             for _, searched, view in _plain_classes(_bounds(t), meter)}
+             for searched, view in _plain_classes(_bounds(t), meter)}
     return _checked(t, [g for _, g in sorted(found.items())])

@@ -121,13 +121,3 @@ def closed_form(t: TopType, short_circuit: bool = True) -> ChiResult | None:
     if short_circuit and t.variant is Variant.SEP and has_full_degree(t):
         return ChiResult(1, Route.SEP_FULL_DEGREE)
     return None
-
-
-__all__ = [
-    "AdmitsExtensionError",
-    "ChiResult",
-    "Route",
-    "chi_compactification",
-    "chi_component",
-    "closed_form",
-]

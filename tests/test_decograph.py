@@ -128,6 +128,26 @@ def test_find_gammas_basics():
     assert find_gammas(lop) == []
 
 
+def test_find_gammas_of_a_single_order():
+    # A match is paired with each minimal order; the degenerate searches
+    # have one.  The empty graph's one order is empty, and its one gamma
+    # is the empty permutation, which its key encodes as no gamma.  A
+    # single edge has one order, and its one match swaps the two ends:
+    # admissible on an even weight, not on an odd one.
+    empty = DecoratedGraph((), ())
+    assert decograph._search(decograph._view(empty)) == ((), [], [()])
+    assert find_gammas(empty) == find_gammas(empty, False) == [()]
+    assert canonical_key(empty) == b"((), (), None)"
+    assert canonical_key(replace(empty, gamma=())) == canonical_key(empty)
+    for weight, want in ((2, [(1, 0)]), (1, [])):
+        edge = DecoratedGraph((Vertex(W), Vertex(B)), (Edge(0, 1, weight),))
+        view = decograph._view(edge)
+        searched = decograph._search(view)
+        assert searched[2] == [(1, 0)]
+        assert list(decograph._matches(view, searched)) == [[1, 0]]
+        assert find_gammas(edge) == find_gammas(edge, False) == want
+
+
 def test_find_gammas_four_cycle_rotations():
     g = _four_cycle()
     assert find_gammas(g) == []
@@ -175,7 +195,7 @@ def test_find_gammas_equals_brute_force(monkeypatch, swap_cuts_off):
         with swap_cuts_off():
             plains = list(_plain_classes(bounds_for(parse_type(text)),
                                          WorkMeter()))
-        for _, _, view in plains:
+        for _, view in plains:
             g = decograph._graph(view)
             mirrored = canonical_key(_color_swapped(g)) == canonical_key(g)
             unmirrored += not mirrored
@@ -190,6 +210,53 @@ def test_find_gammas_equals_brute_force(monkeypatch, swap_cuts_off):
     assert nonempty > 0 and empty > 0 and unmirrored > 0 and probed > 0
 
 
+def _isomorphisms_onto_the_swapped_copy(g):
+    # every bijection that swaps colors, keeps each vertex's genus and
+    # root flag and maps every pair's cells onto its image's
+    whites, blacks = g.ids_of(W), g.ids_of(B)
+    cells = g.cells()
+    found = set()
+    for to_black in permutations(blacks):
+        for to_white in permutations(whites):
+            perm = [0] * len(g.vertices)
+            for old, new in zip(whites + blacks, to_black + to_white):
+                perm[old] = new
+            if any((g.vertices[v].weight, g.vertices[v].root)
+                   != (g.vertices[image].weight, g.vertices[image].root)
+                   for v, image in enumerate(perm)):
+                continue
+            if {tuple(sorted((perm[u], perm[v]))): weights
+                    for (u, v), weights in cells.items()} == cells:
+                found.add(tuple(perm))
+    return found
+
+
+def test_matches_are_the_isomorphisms_onto_the_swapped_copy(swap_cuts_off):
+    # Before any gamma clause is tested, the matches, one match paired
+    # with each minimal order, must be every isomorphism onto the
+    # color-swapped copy, each once: as many as the automorphisms, or
+    # none.  The census's swap cuts are off, so graphs with no such
+    # isomorphism are listed too.  The last type has interchangeable
+    # roots, so |Aut| reaches 36.
+    outcomes = Counter()
+    for text in ("1,4,0|", "2,5,0|1", "2,6,0|2", "3,7,0|1,1,1"):
+        with swap_cuts_off():
+            plains = list(_plain_classes(bounds_for(parse_type(text)),
+                                         WorkMeter()))
+        for searched, view in plains:
+            g = decograph._graph(view)
+            matches = [tuple(perm)
+                       for perm in decograph._matches(view, searched)]
+            assert set(matches) == _isomorphisms_onto_the_swapped_copy(g)
+            assert len(set(matches)) == len(matches)
+            assert len(matches) in (0, len(searched[2]))
+            outcomes[len(matches), len(searched[2])] += 1
+    # (matches, |Aut|): 13 classes with one match, 6 with more, and 180
+    # with none, 44 of those with |Aut| > 1
+    assert outcomes == {(0, 1): 136, (1, 1): 13, (4, 4): 3, (36, 36): 3,
+                        (0, 4): 10, (0, 12): 24, (0, 36): 10}
+
+
 def test_match_test_agrees_with_the_full_checker(swap_cuts_off):
     # A match is an isomorphism onto the color-swapped copy, so it swaps
     # colors and keeps vertex data and cells: find_gammas tests only
@@ -201,7 +268,7 @@ def test_match_test_agrees_with_the_full_checker(swap_cuts_off):
         with swap_cuts_off():
             plains = list(_plain_classes(bounds_for(parse_type(text)),
                                          WorkMeter()))
-        for _, searched, view in plains:
+        for searched, view in plains:
             g = decograph._graph(view)
             for perm in decograph._matches(view, searched):
                 for involution in (True, False):
@@ -265,8 +332,11 @@ def test_search_equals_the_whole_prefix_search(monkeypatch):
     # prefixes, on every plain class of a small box and on its
     # color-swapped copy.  Searched against its own search, in its own
     # refinement read with the colors exchanged, a class must return
-    # the orders of its copy's whole-prefix search, which refines the
-    # copy, when that search reaches them, and none otherwise.  The
+    # the first order of its copy's whole-prefix search, which refines
+    # the copy, when that search reaches it, and none otherwise; and
+    # its matches, that order paired with each of its own minimal
+    # orders, must be the isomorphisms that pairing its first minimal
+    # order with each of the copy's minimal orders gives.  The
     # searches whose first leaf is not minimal are the ones that test
     # that every open node compares again after a new best.  The census
     # hands the search the view that the graph's cells give.  The search
@@ -288,7 +358,7 @@ def test_search_equals_the_whole_prefix_search(monkeypatch):
     late = gammas = 0
     targets = Counter()
     for t in _graph_model_types(3, 7, 3):
-        for _, searched, view in _plain_classes(bounds_for(t), WorkMeter()):
+        for searched, view in _plain_classes(bounds_for(t), WorkMeter()):
             g = decograph._graph(view)
             assert decograph._view(g) == view
             for h in (g, _color_swapped(g)):
@@ -305,7 +375,16 @@ def test_search_equals_the_whole_prefix_search(monkeypatch):
                 assert got == []
             else:
                 targets["match"] += 1
-                assert got == orders
+                assert got == orders[:1]
+                first = searched[2][0]
+                paired = set()
+                for match in orders:
+                    perm = [0] * len(first)
+                    for v, image in zip(first, match):
+                        perm[v] = image
+                    paired.add(tuple(perm))
+                assert set(map(tuple, decograph._matches(view,
+                                                         searched))) == paired
             if t.variant is Variant.NONSEP:
                 built.clear()
                 gammas += len(find_gammas(g)) + len(find_gammas(g, False))
@@ -323,7 +402,7 @@ def test_gamma_classes_key_each_class_by_its_smallest_gamma():
     # exactly those that keying every admissible gamma with
     # canonical_key finds, each carrying its smallest gamma.
     for text in ("1,4,0|", "3,7,0|1,1,1", "2,8,0|1,1"):
-        for _, searched, view in _plain_classes(
+        for searched, view in _plain_classes(
                 bounds_for(parse_type(text)), WorkMeter()):
             g = decograph._graph(view)
             for involution in (True, False):
@@ -349,7 +428,7 @@ def test_search_does_not_depend_on_the_labelling():
                                            parse_type("5,9,0|1,1,1,1,1")]
     relabelled = gammas = 0
     for t in types:
-        for _, searched, view in _plain_classes(bounds_for(t), WorkMeter()):
+        for searched, view in _plain_classes(bounds_for(t), WorkMeter()):
             g = decograph._graph(view)
             perm = list(range(len(g.vertices)))
             rng.shuffle(perm)

@@ -660,8 +660,8 @@ def _unfiltered_nonsep(t, gamma_mode, involution, swap_cuts_off):
     # and asked for its gammas, and every gamma is keyed on its own.
     found = {}
     with swap_cuts_off():
-        for _, _, view in enumerator._plain_classes(bounds_for(t),
-                                                    WorkMeter()):
+        for _, view in enumerator._plain_classes(bounds_for(t),
+                                                 WorkMeter()):
             plain = decograph._graph(view)
             for gam in find_gammas(plain, involution):
                 g = replace(plain, gamma=gam)
@@ -680,13 +680,13 @@ def test_swap_cuts_off_lists_every_plain_class(swap_cuts_off):
     for text in ("1,4,0|", "2,5,0|1", "2,6,0|2"):
         bounds = bounds_for(parse_type(text))
         want = [decograph._graph(view)
-                for _, _, view in enumerator._plain_classes(
+                for _, view in enumerator._plain_classes(
                     replace(bounds, balanced=False), WorkMeter())]
         want = [plain for plain in want if len(plain.ids_of(Color.WHITE))
                 == len(plain.ids_of(Color.BLACK))]
         with swap_cuts_off():
             got = [decograph._graph(view)
-                   for _, _, view in enumerator._plain_classes(
+                   for _, view in enumerator._plain_classes(
                        bounds, WorkMeter())]
         assert got == want
 
@@ -811,7 +811,7 @@ def test_nonsep_searches_each_class_a_fixed_number_of_times(monkeypatch):
         raise AssertionError("cells() was built")
 
     monkeypatch.setattr(DecoratedGraph, "cells", unread)
-    for _, searched, view in enumerator._plain_classes(
+    for searched, view in enumerator._plain_classes(
             bounds_for(nonsep(3, 7, (1,))), WorkMeter()):
         decograph._gamma_classes(view, searched, True)
 
@@ -997,8 +997,8 @@ def test_minimal_orders_count_the_automorphisms():
     # bijections that keep the vertex data and every pair's weights.
     classes = symmetric = 0
     for t in _graph_model_types(3, 6, 3):
-        for _, searched, view in enumerator._plain_classes(bounds_for(t),
-                                                           WorkMeter()):
+        for searched, view in enumerator._plain_classes(bounds_for(t),
+                                                        WorkMeter()):
             plain = decograph._graph(view)
             form = (plain.vertices, plain.cells())
             automorphisms = sum(1 for h in oracle._relabelings(plain)
