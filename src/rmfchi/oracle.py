@@ -5,10 +5,16 @@ color-swapping bijections as gamma, keeps what the checkers accept, and
 buckets the survivors by exhausting relabelings.  It skips only what a
 checker clause rejects anyway: cores whose cycle rank exceeds the genus
 budget (``genus-equation``), non-separating cores with more vertexes of
-one color (``color-balance``), and bijections that change a vertex's
-genus or root flag (``gamma-vertex-data``).  It exists so the fast
-census of :mod:`rmfchi.enumerator` can be cross-validated and should
-only be used on small types.
+one color (``color-balance``), bijections that change a vertex's genus
+or root flag (``gamma-vertex-data``), and, for an involution, every
+black half but the inverse of the white half (``gamma-involution``).
+In EXISTENCE mode it stops a graph's trials at the first gamma
+admitted, the one it keeps.  The bucketing keeps every relabeling of
+each class's first graph, so a repeated graph costs one lookup: the
+relabelings form a group, and a graph is isomorphic to a kept one
+exactly when it is one of them.  It exists so the fast census of
+:mod:`rmfchi.enumerator` can be cross-validated and should only be
+used on small types.
 
 The imports below are all it shares with the fast census, and all come
 from :mod:`rmfchi.decograph` and :mod:`rmfchi.topotype`, none from
@@ -154,7 +160,12 @@ def _bucket(candidates, use_gamma: bool) -> list[DecoratedGraph]:
     """One graph per isomorphism class, by exhausting relabelings.
 
     Two graphs are isomorphic when a relabeling of one has the other's
-    vertex data, parallel edge weights and (when ``use_gamma``) gamma.
+    form: vertex data, parallel edge weights and (when ``use_gamma``)
+    gamma.  The form describes a labeled graph completely, and the
+    relabelings form a group, so a candidate is isomorphic to a kept
+    graph exactly when its own form is that of a relabeling of the kept
+    one.  ``seen`` holds those forms, and each candidate costs one
+    lookup.
     """
 
     def form(g: DecoratedGraph):
@@ -164,10 +175,40 @@ def _bucket(candidates, use_gamma: bool) -> list[DecoratedGraph]:
     seen = set()
     reps: list[DecoratedGraph] = []
     for g in candidates:
-        if not any(form(h) in seen for h in _relabelings(g)):
-            seen.add(form(g))
+        if form(g) not in seen:
+            seen.update(map(form, _relabelings(g)))
             reps.append(g)
     return reps
+
+
+def _gammas(plain: DecoratedGraph, involution: bool, meter: WorkMeter):
+    """plain with each gamma that :func:`gamma_violations` admits, in
+    the order of the loops over all color-swapping bijections.
+
+    A bijection that changes a vertex's genus or root flag fails
+    ``gamma-vertex-data`` and is skipped inside those loops.  An
+    involution is its own inverse, so with ``involution`` only the
+    inverse of the white half is tried as the black half; every other
+    one fails ``gamma-involution``.  The trials kept are a subsequence
+    of the full loops' trials, in their order.
+    """
+    whites = plain.ids_of(Color.WHITE)
+    blacks = plain.ids_of(Color.BLACK)
+    data = [(v.weight, v.root) for v in plain.vertices]
+    for to_black in permutations(blacks):
+        if any(data[u] != data[v] for u, v in zip(whites, to_black)):
+            continue
+        to_whites = ([tuple(whites[to_black.index(b)] for b in blacks)]
+                     if involution else permutations(whites))
+        for to_white in to_whites:
+            if any(data[u] != data[v] for u, v in zip(blacks, to_white)):
+                continue
+            meter.tick()
+            gamma = [0] * len(plain.vertices)
+            for old, new in zip(whites + blacks, to_black + to_white):
+                gamma[old] = new
+            if not gamma_violations(plain, gamma, involution):
+                yield replace(plain, gamma=tuple(gamma))
 
 
 def enum_nonsep_naive(t: TopType, *,
@@ -178,17 +219,19 @@ def enum_nonsep_naive(t: TopType, *,
     """Brute-force census of non-separating graphs; small types only.
 
     Every color-swapping bijection of every accepted labeled graph that
-    sends each vertex to one of the same genus and root flag is tried as
-    gamma.  The others fail ``gamma-vertex-data``; they are skipped
+    sends each vertex to one of the same genus and root flag, and with
+    ``involution`` is its own inverse, is tried as gamma.  The others
+    fail ``gamma-vertex-data`` or ``gamma-involution``; they are skipped
     inside the loops over all of them, so the trials come in the order
     of the full loops, and the first gamma admitted is theirs.  A plain
     graph is accepted when ``gamma-missing`` is the only clause it
     fails, and no other clause reads gamma, so the checker accepts the
     graph with gamma exactly when :func:`gamma_violations` finds
     nothing; that is what each trial asks.
-    In EXISTENCE mode a graph keeps the first gamma admitted, where
-    :func:`rmfchi.enumerator.enum_nonsep` keeps the one with the
-    smallest canonical key.
+    In EXISTENCE mode a graph keeps the first gamma admitted, and its
+    trials stop there, where :func:`rmfchi.enumerator.enum_nonsep` keeps
+    the one with the smallest canonical key.  The graphs are bucketed by
+    :func:`_bucket`, one lookup for each graph of a class already kept.
     """
     _require_graph_model(t, Variant.NONSEP)
     _require_gamma_mode(gamma_mode)
@@ -200,25 +243,10 @@ def enum_nonsep_naive(t: TopType, *,
 
     candidates = []
     for plain in _naive_plain_graphs(t, structural_ok, meter):
-        whites = plain.ids_of(Color.WHITE)
-        blacks = plain.ids_of(Color.BLACK)
-        data = [(v.weight, v.root) for v in plain.vertices]
-        admitted = []
-        for to_black in permutations(blacks):
-            if any(data[u] != data[v] for u, v in zip(whites, to_black)):
-                continue
-            for to_white in permutations(whites):
-                if any(data[u] != data[v] for u, v in zip(blacks, to_white)):
-                    continue
-                meter.tick()
-                gamma = [0] * len(plain.vertices)
-                for old, new in zip(whites + blacks, to_black + to_white):
-                    gamma[old] = new
-                if not gamma_violations(plain, gamma, involution):
-                    admitted.append(replace(plain, gamma=tuple(gamma)))
-        if gamma_mode is GammaMode.EXISTENCE:
-            admitted = admitted[:1]
-        candidates.extend(admitted)
+        for g in _gammas(plain, involution, meter):
+            candidates.append(g)
+            if gamma_mode is GammaMode.EXISTENCE:
+                break
     return _bucket(candidates, gamma_mode is GammaMode.AS_DATA)
 
 

@@ -2,11 +2,17 @@
 
 from __future__ import annotations
 
+import random
 import subprocess
 import sys
 from collections import Counter
 from dataclasses import replace
-from itertools import combinations_with_replacement, permutations, product
+from itertools import (
+    combinations_with_replacement,
+    groupby,
+    permutations,
+    product,
+)
 from pathlib import Path
 from types import BuiltinFunctionType, FunctionType
 
@@ -956,6 +962,34 @@ def test_naive_agrees_on_larger_sep():
     _same_census(enum_sep(t), enum_sep_naive(t))
 
 
+def _weighted_rooted_trees(h_max):
+    # T(h): rooted trees with positive integer edge weights of total h,
+    # up to isomorphism.  A root's branches are a multiset of (edge
+    # weight w, subtree of total s - w), so T is the Euler transform of
+    # c(s) = sum of T(s - w) over w = 1..s (Otter 1948).
+    t, c = [1], [0]
+    for h in range(1, h_max + 1):
+        c.append(sum(t[h - w] for w in range(1, h + 1)))
+        t.append(sum(sum(d * c[d] for d in range(1, k + 1) if k % d == 0)
+                     * t[h - k] for k in range(1, h + 1)) // h)
+    return t
+
+
+def test_g0_census_equals_the_tree_closed_form():
+    # A genus-0 non-separating graph is a tree of genus-0 vertexes.  Its
+    # center is an edge of even weight w whose ends gamma swaps, and the
+    # two halves left when it is cut are the same rooted tree of total
+    # (n - w) / 2, so chi(N)(0,n,0|) sums T((n - w) / 2) over even w.
+    # This checks the gamma layer independently of the oracle.
+    t = _weighted_rooted_trees(5)
+    expected = [sum(t[(n - w) // 2] for w in range(2, n + 1, 2))
+                for n in range(2, 13, 2)]
+    assert expected == [1, 2, 5, 13, 37, 108]
+    for mode in (GammaMode.AS_DATA, GammaMode.EXISTENCE):
+        assert [len(enum_nonsep(nonsep(0, n, ()), gamma_mode=mode))
+                for n in range(2, 13, 2)] == expected
+
+
 ORACLE_GOLDEN = Path(__file__).parent / "golden" / "oracle_g2_n5_i3.sha256"
 
 
@@ -973,9 +1007,12 @@ def test_oracle_skips_what_a_checker_clause_rejects(monkeypatch):
     # (genus-equation) and, for a non-separating type, whose two colors
     # have as many vertexes (color-balance), and tries as gamma only the
     # bijections that keep each vertex's genus and root flag
-    # (gamma-vertex-data).  When it built every core and tried every
+    # (gamma-vertex-data); an involution is its own inverse, so it tries
+    # as the black half of gamma only the inverse of the white half
+    # (gamma-involution).  When it built every core and tried every
     # color-swapping bijection, this census used 3,055 units of work
-    # and ran gamma_violations 1,732 times.
+    # and ran gamma_violations 1,732 times; with every other clause
+    # skipped but gamma-involution, 313 units and 193 calls.
     calls = []
     violations = oracle.gamma_violations
 
@@ -986,8 +1023,102 @@ def test_oracle_skips_what_a_checker_clause_rejects(monkeypatch):
     monkeypatch.setattr(oracle, "gamma_violations", counted)
     meter = WorkMeter()
     assert len(enum_nonsep_naive(nonsep(1, 5, (1,)), meter=meter)) == 3
-    assert meter.used == 313
-    assert len(calls) == 193
+    assert meter.used == 217
+    assert len(calls) == 97
+
+
+def _gamma_trials(monkeypatch, t, **kwargs):
+    # Each (plain graph, gamma, admitted) the oracle hands to
+    # gamma_violations, in order.
+    trials = []
+    violations = oracle.gamma_violations
+
+    def recorded(g, gamma, involution=True):
+        report = violations(g, gamma, involution)
+        trials.append((g, tuple(gamma), not report))
+        return report
+
+    monkeypatch.setattr(oracle, "gamma_violations", recorded)
+    enum_nonsep_naive(t, **kwargs)
+    return trials
+
+
+def test_oracle_tries_each_involution_once(monkeypatch):
+    # With involution, the oracle tries exactly the involutions among the
+    # trials it makes for gammas of any order, in the same order.
+    for t in NAIVE_NONSEP_TYPES + (nonsep(1, 5, (1,)),):
+        any_order = _gamma_trials(monkeypatch, t, involution=False)
+        involutions = [(g, gamma) for g, gamma, _ in any_order
+                       if all(gamma[gamma[v]] == v
+                              for v in range(len(gamma)))]
+        trials = _gamma_trials(monkeypatch, t)
+        assert [(g, gamma) for g, gamma, _ in trials] == involutions
+        assert len(trials) < len(any_order)
+
+
+def test_oracle_existence_stops_at_the_first_gamma(monkeypatch):
+    # In EXISTENCE mode, each plain graph's trials are its as-data trials
+    # up to and including the first gamma admitted.
+    cut = 0
+    for t in NAIVE_NONSEP_TYPES + (nonsep(1, 5, (1,)),):
+        for involution in (True, False):
+            as_data = _gamma_trials(monkeypatch, t, involution=involution)
+            expected = []
+            for _, group in groupby(as_data, key=lambda trial: trial[0]):
+                for trial in group:
+                    expected.append(trial)
+                    if trial[2]:
+                        break
+            assert _gamma_trials(monkeypatch, t, involution=involution,
+                                 gamma_mode=GammaMode.EXISTENCE) == expected
+            cut += len(as_data) - len(expected)
+    assert cut > 0
+
+
+def _bucket_by_any_relabeling(candidates, use_gamma):
+    # The rule _bucket implements: keep a candidate unless a relabeling
+    # of it equals a kept graph.
+    def same(h, r):
+        return (h.vertices, h.cells()) == (r.vertices, r.cells()) \
+            and (not use_gamma or h.gamma == r.gamma)
+    reps = []
+    for g in candidates:
+        if not any(same(h, r) for h in oracle._relabelings(g) for r in reps):
+            reps.append(g)
+    return reps
+
+
+def test_bucket_keeps_the_first_of_each_class(monkeypatch):
+    # Candidates of a few criterion-8 types, with gammas of any order,
+    # shuffled and mixed with color-preserving relabeled copies.
+    captured = []
+    bucket = oracle._bucket
+
+    def capture(candidates, use_gamma):
+        captured.append(list(candidates))
+        return bucket(captured[-1], use_gamma)
+
+    monkeypatch.setattr(oracle, "_bucket", capture)
+    enum_nonsep_naive(nonsep(1, 5, (1,)), involution=False)
+    enum_nonsep_naive(nonsep(2, 4, (2,)), involution=False)
+    enum_nonsep_naive(nonsep(1, 4, ()), involution=False)
+    enum_sep_naive(sep(1, 5, (1, 2)))
+    rng = random.Random(36)
+    for candidates in captured:
+        copies = []
+        for g in rng.sample(candidates, min(len(candidates), 12)):
+            perm = list(range(len(g.vertices)))
+            for color in Color:
+                ids = g.ids_of(color)
+                for old, new in zip(ids, rng.sample(ids, len(ids))):
+                    perm[old] = new
+            copies.append(decograph.relabel(g, perm))
+        mixed = candidates + copies
+        rng.shuffle(mixed)
+        for use_gamma in (True, False):
+            reps = bucket(mixed, use_gamma)
+            assert reps == _bucket_by_any_relabeling(mixed, use_gamma)
+            assert len(reps) == len(bucket(candidates, use_gamma))
 
 
 def test_minimal_orders_count_the_automorphisms():
