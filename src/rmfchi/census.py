@@ -17,6 +17,7 @@ import json
 import os
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
+from itertools import accumulate
 
 from .decograph import WorkLimitExceeded
 from .euler import chi_compactification, chi_component, closed_form
@@ -25,12 +26,13 @@ from .topotype import (
     MAX_SHEETS,
     TopType,
     Variant,
+    _extends,
     _integral,
-    admits_extension,
+    _normal_fields,
+    _violated,
     dimension,
-    exists,
+    exists,  # not called here: censusbench/tracer.py rebinds census.exists
     format_type,
-    is_normal,
 )
 
 # The ``--eps`` name of each variant, in sort order.
@@ -42,6 +44,8 @@ _IN_FLIGHT_PER_WORKER = 4
 # Types a pooled sweep lets wait behind the next one to hand out, as
 # finished records (about 400 bytes each) or unfinished jobs.
 _QUEUE_LIMIT = 4096
+# What json.dumps(..., separators=(",", ":")) would build per record.
+_COMPACT_JSON = json.JSONEncoder(separators=(",", ":"))
 
 
 @dataclass(frozen=True)
@@ -111,9 +115,9 @@ def type_sort_key(t: TopType):
 
 
 def _bounded_indices(values: Sequence[int], k: int, budget: int,
-                     start: int = 0):
+                     start: int = 0, floors: Sequence[int] | None = None):
     """Non-decreasing k-tuples from sorted ``values[start:]`` with
-    sum(|i|) <= budget.
+    sum(|i|) <= budget, in increasing order.
 
     Every existing type of degree n has sum(|i|) <= n, and n - 2 if it
     is non-separating (see :func:`~rmfchi.topotype.exists`), so with
@@ -121,19 +125,34 @@ def _bounded_indices(values: Sequence[int], k: int, budget: int,
     polynomially many tuples where all combinations would be
     exponentially many in k.  It recurses once per distinct value a
     tuple uses, so neither k nor the values that take no part deepen
-    the recursion, and at the last value only into the tuple that
-    takes all k places, since a shorter one cannot be completed.
+    the recursion.  It opens a tail only when the tail can be completed:
+    the places left, times the least |value| after the current one, fit
+    in the budget left.  ``floors[j]`` is that least |value| from
+    ``values[j]`` on, computed once per listing; past the last value it
+    exceeds any budget, so there the tuple takes all the places left.
     """
     if k == 0:
         yield ()
         return
-    last = len(values) - 1
+    if floors is None:
+        floors = [*accumulate(map(abs, reversed(values)), min)][::-1]
+        floors.append(budget + 1)
     for j in range(start, len(values)):
-        v = values[j]
-        most = min(k, budget // abs(v)) if v else k
-        for count in range(most, k - 1 if j == last else 0, -1):
+        v, floor = values[j], floors[j + 1]
+        # count copies of v and a completable tail cost at most the budget:
+        # count * (|v| - floor) <= budget - k * floor
+        slope, room = abs(v) - floor, budget - k * floor
+        most, least = k, 1
+        if slope > 0:
+            most = min(k, room // slope)
+        elif slope < 0:
+            least = max(1, -(room // -slope))
+        elif room < 0:
+            continue
+        for count in range(most, least - 1, -1):
             for rest in _bounded_indices(values, k - count,
-                                         budget - count * abs(v), j + 1):
+                                         budget - count * abs(v), j + 1,
+                                         floors):
                 yield (v,) * count + rest
 
 
@@ -156,8 +175,11 @@ def iter_types(bounds: SweepBounds) -> Iterator[TopType]:
 
     Invariant: the loops nest in :func:`type_sort_key`'s order (variant,
     g, n, k, index tuple, xi) and :func:`_bounded_indices` lists each
-    k's tuples in increasing order, so types are built sorted.  Both
-    members of a sign orbit are built; only its normal form is kept.
+    k's tuples in increasing order, so types come out sorted.  Each
+    candidate is decided on its raw fields by the rules of
+    :mod:`~rmfchi.topotype`: the extension, existence, and the normal
+    form, of which a sign orbit has one member.  A
+    :class:`~rmfchi.topotype.TopType` is built only for a type yielded.
     """
     for eps, variant in EPS_VARIANTS.items():
         if bounds.eps not in (None, eps):
@@ -173,13 +195,15 @@ def iter_types(bounds: SweepBounds) -> Iterator[TopType]:
                 for k in _index_counts(g, n, separating):
                     xis = range((g - k + 1) // 2 + 1) if extended else (None,)
                     for idx in _bounded_indices(values, k, budget):
+                        # the extension does not depend on xi
+                        if _extends(n, idx) is not extended:
+                            continue
                         for xi in xis:
-                            t = TopType(variant, g, n, idx, xi)
-                            # the extension does not depend on xi
-                            if admits_extension(t) is not extended:
-                                break
-                            if exists(t) and is_normal(t):
-                                yield t
+                            if _violated(variant, g, n, idx, xi):
+                                continue
+                            normal = _normal_fields(variant, g, idx, xi)
+                            if normal == (idx, xi):
+                                yield TopType(variant, g, n, idx, xi)
 
 
 def record_for(t: TopType) -> CensusRecord:
@@ -361,8 +385,7 @@ def write_jsonl(records, stream) -> int:
     """One compact JSON object per line; returns the record count."""
     count = 0
     for rec in records:
-        stream.write(json.dumps(rec.to_json_dict(),
-                                separators=(",", ":")) + "\n")
+        stream.write(_COMPACT_JSON.encode(rec.to_json_dict()) + "\n")
         count += 1
     return count
 

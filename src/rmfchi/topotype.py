@@ -138,6 +138,12 @@ def sepext(g: int, n: int, indices, xi: int) -> TopType:
     return normalize(TopType(Variant.SEP_EXT, g, n, tuple(indices), xi))
 
 
+def _flipped(g: int, indices: tuple, xi: int | None) -> tuple:
+    # the flip of sign_flipped on raw fields
+    return (tuple(-i for i in indices),
+            None if xi is None else (g - len(indices) + 1) // 2 - xi)
+
+
 def sign_flipped(t: TopType) -> TopType:
     """The other representative of the sign orbit (not normalized).
 
@@ -147,13 +153,23 @@ def sign_flipped(t: TopType) -> TopType:
     """
     if t.variant is Variant.NONSEP:
         return t
-    xi = None if t.xi is None else (t.g - t.k + 1) // 2 - t.xi
-    return replace(t, indices=tuple(-i for i in t.indices), xi=xi)
+    indices, xi = _flipped(t.g, t.indices, t.xi)
+    return replace(t, indices=indices, xi=xi)
 
 
-def _orbit_rank(t: TopType) -> tuple:
+def _orbit_rank(indices: tuple, xi: int | None) -> tuple:
     # xi is None for nonsep and sep types, which rank by indices alone
-    return tuple(sorted(t.indices)), -(t.xi or 0)
+    return tuple(sorted(indices)), -(xi or 0)
+
+
+def _normal_fields(variant: Variant, g: int, indices: tuple,
+                   xi: int | None) -> tuple:
+    # normalize on raw fields: the normal form's (indices, xi)
+    if variant is not Variant.NONSEP:
+        flipped = _flipped(g, indices, xi)
+        if _orbit_rank(*flipped) > _orbit_rank(indices, xi):
+            indices, xi = flipped
+    return tuple(sorted(indices)), xi
 
 
 def normalize(t: TopType) -> TopType:
@@ -164,13 +180,20 @@ def normalize(t: TopType) -> TopType:
     an all-negative degree list comes out positive, and of two members
     with the same sorted indices the one with the smaller xi is kept.
     """
-    best = max(t, sign_flipped(t), key=_orbit_rank)
-    indices = tuple(sorted(best.indices))
-    return best if best.indices == indices else replace(best, indices=indices)
+    indices, xi = _normal_fields(t.variant, t.g, t.indices, t.xi)
+    if indices == t.indices and xi == t.xi:
+        return t
+    return replace(t, indices=indices, xi=xi)
 
 
 def is_normal(t: TopType) -> bool:
     return normalize(t) is t
+
+
+def _extends(n: int, indices: tuple) -> bool:
+    # admits_extension on raw fields; non-negative indices never pass
+    total_abs = sum(map(abs, indices))
+    return abs(sum(indices)) < total_abs == n - 2
 
 
 def admits_extension(t: TopType) -> bool:
@@ -180,11 +203,7 @@ def admits_extension(t: TopType) -> bool:
     real poles and zeros leaves a two-point budget that frees the
     complement to split in several topologically distinct ways.
     """
-    if t.variant is Variant.NONSEP:
-        return False
-    total = sum(t.indices)
-    total_abs = sum(abs(i) for i in t.indices)
-    return abs(total) < total_abs == t.n - 2
+    return _extends(t.n, t.indices)
 
 
 def has_full_degree(t: TopType) -> bool:
@@ -196,23 +215,12 @@ def has_full_degree(t: TopType) -> bool:
     return sum(abs(i) for i in t.indices) == t.n
 
 
-def exists(t: TopType) -> ExistenceReport:
-    """Existence test: does the type label a non-empty component?
-
-    Non-separating (g, n, 0 | I) exists iff
-        0 <= k <= g,  sum(I) <= n - 2,  sum(I) = n (mod 2).
-    Separating (g, n, 1 | I) exists iff
-        1 <= k <= g + 1,  k = g + 1 (mod 2),  sum(I) = n (mod 2),
-    and the degrees match one of four patterns: a single degree +-1 with
-    n = 1 and g = 0; all degrees zero with n = 2 and k = g + 1; full
-    degree |sum(I)| = sum(|I|) = n with every entry nonzero; or n >= 3
-    with sum(|I|) <= n - 2.
-    Extended (g, n, 1 | I, xi) exists iff the underlying separating type
-    exists, admits the extension, and 0 <= xi <= (g - k + 1)/2.
-    """
-    g, n, k, indices = t.g, t.n, t.k, t.indices
+def _violated(variant: Variant, g: int, n: int, indices: tuple,
+              xi: int | None) -> tuple[str, ...]:
+    # the clauses of exists that the raw fields fail, in order
+    k = len(indices)
     total = sum(indices)
-    separating = t.variant is not Variant.NONSEP
+    separating = variant is not Variant.NONSEP
     bad = []
     if not separating:
         if not k <= g:
@@ -236,12 +244,30 @@ def exists(t: TopType) -> ExistenceReport:
         slack = n >= 3 and total_abs <= n - 2
         if not (unit or all_zero or full or slack):
             bad.append("degree-pattern")
-    if t.variant is Variant.SEP_EXT:
-        if not admits_extension(t):
+    if variant is Variant.SEP_EXT:
+        if not _extends(n, indices):
             bad.append("admits-extension")
-        if not 0 <= t.xi <= (g - k + 1) // 2:
+        if not 0 <= xi <= (g - k + 1) // 2:
             bad.append("0<=xi<=(g-k+1)/2")
-    return ExistenceReport(not bad, tuple(bad))
+    return tuple(bad)
+
+
+def exists(t: TopType) -> ExistenceReport:
+    """Existence test: does the type label a non-empty component?
+
+    Non-separating (g, n, 0 | I) exists iff
+        0 <= k <= g,  sum(I) <= n - 2,  sum(I) = n (mod 2).
+    Separating (g, n, 1 | I) exists iff
+        1 <= k <= g + 1,  k = g + 1 (mod 2),  sum(I) = n (mod 2),
+    and the degrees match one of four patterns: a single degree +-1 with
+    n = 1 and g = 0; all degrees zero with n = 2 and k = g + 1; full
+    degree |sum(I)| = sum(|I|) = n with every entry nonzero; or n >= 3
+    with sum(|I|) <= n - 2.
+    Extended (g, n, 1 | I, xi) exists iff the underlying separating type
+    exists, admits the extension, and 0 <= xi <= (g - k + 1)/2.
+    """
+    bad = _violated(t.variant, t.g, t.n, t.indices, t.xi)
+    return ExistenceReport(not bad, bad)
 
 
 class NonExistentTypeError(ValueError):
@@ -257,9 +283,9 @@ class NonExistentTypeError(ValueError):
 
 
 def require_exists(t: TopType) -> TopType:
-    report = exists(t)
-    if not report:
-        raise NonExistentTypeError(t, report)
+    bad = _violated(t.variant, t.g, t.n, t.indices, t.xi)
+    if bad:
+        raise NonExistentTypeError(t, ExistenceReport(False, bad))
     return t
 
 

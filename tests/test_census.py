@@ -342,16 +342,18 @@ def test_iter_types_matches_the_set_and_sort_listing():
 
 def test_sweep_streams_its_records(monkeypatch):
     # A box with about 2e9 candidate types: the first record must come
-    # out long before the listing is done.
+    # out long before the listing is done.  The listing tests existence
+    # on each candidate's fields with topotype._violated.
     calls = []
+    violated = census._violated
 
-    def exists_for_a_while(t):
-        calls.append(t)
+    def violated_for_a_while(*fields):
+        calls.append(fields)
         if len(calls) > 100:
             raise AssertionError("the listing ran ahead of the records")
-        return exists(t)
+        return violated(*fields)
 
-    monkeypatch.setattr(census, "exists", exists_for_a_while)
+    monkeypatch.setattr(census, "_violated", violated_for_a_while)
     first = next(sweep(SweepBounds(MAX_GENUS, 2, 0, eps="0")))
     assert format_type(first.type) == "0,2,0|"
 
@@ -361,12 +363,13 @@ def test_listing_tests_only_types_within_the_existence_bounds(monkeypatch):
     # k <= 1, and with |i| <= 0 the box holds no type at all; a listing
     # that gives every k <= g a budget of n tests about 1.2e5 types.
     calls = []
+    violated = census._violated
 
-    def counted_exists(t):
-        calls.append(t)
-        return exists(t)
+    def counted_violated(*fields):
+        calls.append(fields)
+        return violated(*fields)
 
-    monkeypatch.setattr(census, "exists", counted_exists)
+    monkeypatch.setattr(census, "_violated", counted_violated)
     assert list(iter_types(SweepBounds(400, 1, 0))) == []
     assert len(calls) < 1000
 
@@ -378,11 +381,33 @@ def test_index_listing_recursion_does_not_grow_with_the_length():
         == [(0,) * 1500, (0,) * 1499 + (1,)]
 
 
+def _budget_filtered(values, k: int, budget: int) -> list:
+    # Every sorted k-tuple over ``values`` within the budget, by brute
+    # force, in increasing order.
+    return [idx for idx in combinations_with_replacement(values, k)
+            if sum(map(abs, idx)) <= budget]
+
+
+def test_index_listing_equals_the_budget_filtered_combinations():
+    # 0 first (non-separating), 0 in the middle (separating) and no 0.
+    for values in (range(0, 4), range(-3, 4), (-3, -1, 2, 5), (1, 2)):
+        for k in range(6):
+            for budget in range(8):
+                assert list(census._bounded_indices(values, k, budget)) \
+                    == _budget_filtered(values, k, budget), \
+                    (values, k, budget)
+
+
 def test_index_listing_opens_no_tail_that_cannot_be_completed(monkeypatch):
-    # The box of the long CI catalog lists k zeros for each k <= g <=
-    # 300: one call per (g, k), and for k > 0 one more for the tuple.
-    # Opening a tail for every shorter run of zeros made 4,590,551.
-    # Each listed type is built once: a normal type is not rebuilt.
+    # The non-separating box of the long CI catalog lists k zeros for
+    # each k <= g <= 300: one call per (g, k), and for k > 0 one more
+    # for the tuple.  Opening a tail for every shorter run of zeros made
+    # 4,590,551.  On the separating and extended boxes, whose values put
+    # 0 in the middle of -2..2, opening every tail the last value could
+    # not complete made 568,397 and 692,414 calls.
+    # A TopType is built only for a listed type: building every
+    # candidate made 7,605 and 66,960 on those two boxes, and 893 on
+    # the g <= 2, n <= 6, |i| <= 3 box (1,070 calls).
     calls = []
     builds = []
     lister = census._bounded_indices
@@ -398,10 +423,17 @@ def test_index_listing_opens_no_tail_that_cannot_be_completed(monkeypatch):
 
     monkeypatch.setattr(census, "_bounded_indices", counted)
     monkeypatch.setattr(TopType, "__post_init__", built)
-    types = sum(1 for _ in iter_types(SweepBounds(300, 2, 0, eps="0")))
-    assert types == 45_451
-    assert len(calls) == 90_601
-    assert len(builds) == 45_451
+    for box, types, listed in ((SweepBounds(300, 2, 0, eps="0"),
+                                45_451, 90_601),
+                               (SweepBounds(400, 2, 2, eps="1"), 803, 10_395),
+                               (SweepBounds(60, 4, 2, eps="ext"),
+                                5_200, 78_762),
+                               (SweepBounds(2, 6, 3), 111, 993)):
+        calls.clear()
+        builds.clear()
+        assert sum(1 for _ in iter_types(box)) == types, box
+        assert len(calls) == listed, box
+        assert len(builds) == types, box
 
 
 def test_extension_refinements_replace_their_base():
